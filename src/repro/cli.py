@@ -27,11 +27,14 @@ Examples
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from repro.experiments.config import PAPER_CONFIG, SMOKE_CONFIG, ExperimentConfig
+from repro.experiments.gates import verdict
 from repro.experiments.runner import FIGURES, run_all_figures, run_figure
 
 __all__ = ["main", "build_parser"]
@@ -89,31 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-attribute queries per (loss, replication) cell",
     )
 
-    chaos_p = sub.add_parser(
+    _add_gated(
+        sub,
         "chaos",
-        help="seeded chaos-timeline demo: partition heal + crash burst "
+        "seeded chaos-timeline demo: partition heal + crash burst "
         "under budgeted maintenance; exits non-zero unless every system "
         "reconverges (and the budget=0 control does NOT)",
     )
-    _add_common(chaos_p)
-    chaos_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
 
-    durability_p = sub.add_parser(
+    durability_p = _add_gated(
+        sub,
         "durability",
-        help="redundancy-policy sweep: successor/symmetric replication and "
+        "redundancy-policy sweep: successor/symmetric replication and "
         "erasure coding through chaos timelines, reporting pieces lost, "
         "data time-to-recover and repair bandwidth per policy; exits "
         "non-zero unless every cell recovers its surviving data",
-    )
-    _add_common(durability_p)
-    durability_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
     )
     durability_p.add_argument(
         "--policies",
@@ -139,20 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos timelines to run (default: both)",
     )
 
-    hotspot_p = sub.add_parser(
+    hotspot_p = _add_gated(
+        sub,
         "hotspot",
-        help="load-balance sweep under zipf-skewed popularity: per-node "
+        "load-balance sweep under zipf-skewed popularity: per-node "
         "serve-load imbalance (max/mean, Gini, top-5 share) per system x "
         "zipf-s x mitigation (none / salted roots / dynamic replication); "
         "exits non-zero unless the best mitigation cuts SWORD's imbalance "
         ">= 2x at the highest s with byte-identical answers and hop "
         "counts within the structural ceilings",
-    )
-    _add_common(hotspot_p)
-    hotspot_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
     )
     hotspot_p.add_argument(
         "--systems",
@@ -183,20 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="salted roots per attribute (S) for the salt mitigation",
     )
 
-    tradeoff_p = sub.add_parser(
+    tradeoff_p = _add_gated(
+        sub,
         "tradeoff",
-        help="lookup-vs-maintenance sweep across routing tiers (chord / "
+        "lookup-vs-maintenance sweep across routing tiers (chord / "
         "record:f<N> randomized-Chord / singlehop full-membership) x "
         "maintenance budget (zero/default/unlimited), common random "
         "numbers; exits non-zero unless single-hop means <= 1.05 hops at "
-        "unlimited budget (trace-oracle verified) and ReCord hops are "
-        "monotone in the fan-out",
-    )
-    _add_common(tradeoff_p)
-    tradeoff_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
+        "unlimited budget (trace-oracle verified) and ReCord hops fall "
+        "strictly with the fan-out",
     )
     tradeoff_p.add_argument(
         "--systems",
@@ -234,19 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="ReCord per-level fan-outs to sweep (e.g. --fanouts 1 4 16)",
     )
 
-    tail_p = sub.add_parser(
+    tail_p = _add_gated(
+        sub,
         "tail",
-        help="tail-latency sweep under gray failures: p50/p99/p99.9 "
+        "tail-latency sweep under gray failures: p50/p99/p99.9 "
         "response time vs slow-node fraction x requester policy "
         "(fixed/adaptive/hedged timeouts); exits non-zero unless the "
         "hedged policy cuts p99 >= 2x vs fixed on LORM and SWORD, meets "
         "the p99 SLO and keeps hedge overhead bounded",
-    )
-    _add_common(tail_p)
-    tail_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
     )
     tail_p.add_argument(
         "--fractions",
@@ -282,11 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper",
         help="paper = 100k-1M nodes (default); smoke = small, CI-fast",
     )
-    scale_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
+    _add_smoke(scale_p)
     scale_p.add_argument(
         "--seed", type=int, default=None, help="override the master seed"
     )
@@ -349,11 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="smoke",
         help="paper = Section V parameters; smoke = laptop-fast (default)",
     )
-    bench_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
+    _add_smoke(bench_p)
     bench_p.add_argument(
         "--seed", type=int, default=None, help="override the master seed"
     )
@@ -505,6 +475,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_smoke(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--smoke",
+        action="store_true",
+        help="alias for --scale smoke (deterministic CI entry point)",
+    )
+
+
+def _add_gated(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A gated subcommand's parser: the common flags plus ``--smoke``."""
+    p = sub.add_parser(name, help=help)
+    _add_common(p)
+    _add_smoke(p)
+    return p
+
+
 def _add_parallel(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--parallel",
@@ -519,38 +505,169 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    config = _SCALES[args.scale]
+#: Flags every config-driven command shares -> the config field they set.
+_COMMON_FIELDS = {"seed": "seed", "lph": "lph_kind", "invariants": "validate_invariants"}
+
+_AVAILABILITY_FIELDS = {
+    "loss": "loss_rates",
+    "replication": "availability_replications",
+    "queries": "num_availability_queries",
+}
+
+
+def _config_from(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    fields: dict[str, str] | None = None,
+) -> ExperimentConfig:
+    """The ``--scale`` config with every given flag in ``_COMMON_FIELDS``
+    and ``fields`` (argparse dest -> config field) applied.
+
+    An invalid value is a clean ``parser.error`` (exit 2) raised before
+    any work starts, never a traceback.
+    """
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.lph is not None:
-        overrides["lph_kind"] = args.lph
-    if getattr(args, "invariants", False):
-        overrides["validate_invariants"] = True
-    return config.scaled(**overrides) if overrides else config
+    for dest, name in {**_COMMON_FIELDS, **(fields or {})}.items():
+        value = getattr(args, dest, None)
+        if value is not None and value is not False:
+            overrides[name] = tuple(value) if isinstance(value, list) else value
+    config = _SCALES[args.scale]
+    try:
+        return config.scaled(**overrides) if overrides else config
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _resolve_systems_arg(parser: argparse.ArgumentParser, names):
-    """Canonical system names, or a clean ``parser.error`` (exit 2,
-    valid choices listed) instead of an unhandled traceback."""
+def _resolved(parser: argparse.ArgumentParser, resolve, names):
+    """``resolve(names)`` from the system/overlay registry, or a clean
+    ``parser.error`` (exit 2, valid choices listed) instead of a traceback."""
+    try:
+        return resolve(names)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _no_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
+    return {}
+
+
+def _systems_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
     from repro.experiments.common import resolve_systems
 
+    return {"systems": resolve_systems(args.systems)} if args.systems else {}
+
+
+def _durability_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
+    from repro.experiments.durability import DEFAULT_SCENARIOS
+    from repro.sim.durability import parse_policy
+
+    kwargs = _systems_kwargs(args, config)
+    if args.policies:
+        kwargs["policies"] = tuple(parse_policy(spec) for spec in args.policies)
+    if args.scenarios:
+        kwargs["scenarios"] = tuple(
+            s for s in DEFAULT_SCENARIOS if s.name in args.scenarios
+        )
+    return kwargs
+
+
+def _tradeoff_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
+    from repro.experiments.tradeoff import select_points
+
+    kwargs = _systems_kwargs(args, config)
+    if args.overlays:
+        select_points(config, args.overlays)  # unknown labels raise here
+        kwargs["overlays"] = tuple(args.overlays)
+    return kwargs
+
+
+def _scale_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
+    return {
+        "parallel": args.parallel is not None,
+        "max_workers": args.parallel or None,
+        "budget_seconds": args.budget_seconds,
+        "budget_mb": args.budget_mb,
+    }
+
+
+class GatedCommand(NamedTuple):
+    """One gated subcommand: what it runs and which flags feed it."""
+
+    command: str
+    #: ``module:function`` of the run function, imported when it runs.
+    run: str
+    #: argparse dest -> the ExperimentConfig field it overrides.
+    fields: dict[str, str]
+    #: The run function's keyword arguments, built from the flags; names
+    #: (systems, overlays, policies) are validated here, before any work.
+    kwargs: Callable[[argparse.Namespace, ExperimentConfig], dict] = _no_kwargs
+
+
+#: Every gated subcommand.  Each run returns a result whose ``gates()``
+#: decide its verdict line, the stderr summary and the exit code.
+GATED_COMMANDS = (
+    GatedCommand("chaos", "repro.experiments.recovery:run_chaos_demo", {}),
+    GatedCommand(
+        "durability", "repro.experiments.durability:run_durability", {},
+        _durability_kwargs,
+    ),
+    GatedCommand(
+        "hotspot",
+        "repro.experiments.hotspot:run_hotspot",
+        {"zipf_s": "hotspot_zipf_s", "queries": "hotspot_queries",
+         "salts": "hotspot_salts"},
+        _systems_kwargs,
+    ),
+    GatedCommand(
+        "tradeoff",
+        "repro.experiments.tradeoff:run_tradeoff",
+        {"queries": "tradeoff_queries", "churn_events": "tradeoff_churn_events",
+         "fanouts": "tradeoff_fanouts"},
+        _tradeoff_kwargs,
+    ),
+    GatedCommand(
+        "tail",
+        "repro.experiments.tail:run_tail",
+        {"fractions": "tail_slow_fractions", "queries": "tail_queries",
+         "slo_p99": "tail_slo_p99"},
+    ),
+    GatedCommand(
+        "scale",
+        "repro.experiments.scale:run_scale",
+        {"sizes": "scale_sizes", "queries": "scale_queries",
+         "churn_events": "scale_churn_events"},
+        _scale_kwargs,
+    ),
+)
+
+
+def _run_gated(
+    parser: argparse.ArgumentParser, gated: GatedCommand, args: argparse.Namespace
+) -> int:
+    """Validate, run, render, summarise, save; exit 0 only if every gate passed."""
+    if args.smoke:
+        args.scale = "smoke"
+    config = _config_from(parser, args, gated.fields)
     try:
-        return resolve_systems(names)
+        kwargs = gated.kwargs(args, config)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _resolve_overlay_arg(parser: argparse.ArgumentParser, name):
-    """Canonical overlay name, or a clean ``parser.error`` (exit 2, valid
-    choices listed) — the ``--systems`` contract, for ``--overlay``."""
-    from repro.experiments.common import resolve_overlay
-
-    try:
-        return resolve_overlay(name)
-    except ValueError as exc:
-        parser.error(str(exc))
+    module, name = gated.run.split(":")
+    run = getattr(importlib.import_module(module), name)
+    started = time.perf_counter()
+    result = run(config, **kwargs)
+    print(result.render())
+    elapsed = time.perf_counter() - started
+    outcome = verdict(result.gates())
+    print(
+        f"[{args.scale} scale, seed {config.seed}] {args.command}: {outcome} "
+        f"in {elapsed:.1f}s",
+        file=sys.stderr,
+    )
+    if args.out:
+        result.save(args.out)
+        print(f"results written to {args.out}/", file=sys.stderr)
+    return 0 if outcome == "ok" else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -581,9 +698,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.smoke:
             args.scale = "smoke"
-        config = _SCALES[args.scale]
-        if args.seed is not None:
-            config = config.scaled(seed=args.seed)
+        config = _config_from(parser, args)
         started = time.perf_counter()
         bench_report = run_bench(
             config,
@@ -602,68 +717,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 0
 
-    if args.command == "scale":
-        from repro.experiments.scale import run_scale
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _SCALES[args.scale]
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.sizes is not None:
-            overrides["scale_sizes"] = tuple(args.sizes)
-        if args.queries is not None:
-            overrides["scale_queries"] = args.queries
-        if args.churn_events is not None:
-            overrides["scale_churn_events"] = args.churn_events
-        if overrides:
-            config = config.scaled(**overrides)
-        started = time.perf_counter()
-        result = run_scale(
-            config,
-            parallel=args.parallel is not None,
-            max_workers=(args.parallel or None) if args.parallel else None,
-        )
-        elapsed = time.perf_counter() - started
-        print(result.render())
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        ok = True
-        if args.budget_seconds is not None and elapsed > args.budget_seconds:
-            ok = False
-            print(
-                f"BUDGET EXCEEDED: sweep took {elapsed:.1f}s "
-                f"(budget {args.budget_seconds:.1f}s)",
-                file=sys.stderr,
-            )
-        if args.budget_mb is not None:
-            worst = max(result.points, key=lambda p: p.peak_tracemalloc_mb)
-            if worst.peak_tracemalloc_mb > args.budget_mb:
-                ok = False
-                print(
-                    f"BUDGET EXCEEDED: n={worst.num_nodes} peaked at "
-                    f"{worst.peak_tracemalloc_mb:.1f} MB traced "
-                    f"(budget {args.budget_mb:.1f} MB)",
-                    file=sys.stderr,
-                )
-        print(
-            f"[{args.scale} scale, seed {config.seed}] "
-            f"{len(result.points)} point(s) in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
+    gated = next((g for g in GATED_COMMANDS if g.command == args.command), None)
+    if gated is not None:
+        return _run_gated(parser, gated, args)
 
     if args.command == "trace":
+        from repro.experiments.common import resolve_overlay
         from repro.obs.export import render_tree, traces_to_chrome, traces_to_jsonl
         from repro.obs.replay import replay_queries
         from repro.workloads.generator import QueryKind
 
         overlay = (
-            _resolve_overlay_arg(parser, args.overlay)
+            _resolved(parser, resolve_overlay, args.overlay)
             if args.overlay is not None else None
         )
+        if not 0.0 <= args.loss < 1.0:
+            parser.error(f"--loss must be in [0, 1), got {args.loss:g}")
         started = time.perf_counter()
         _, traces = replay_queries(
             args.system,
@@ -706,12 +775,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "check":
+        from repro.experiments.common import resolve_systems
         from repro.testing.differential import ALL_SYSTEMS, run_check
 
         systems = (
             ALL_SYSTEMS
             if "all" in args.systems
-            else _resolve_systems_arg(parser, args.systems)
+            else _resolved(parser, resolve_systems, args.systems)
         )
         started = time.perf_counter()
         report = run_check(
@@ -725,182 +795,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"[seed {args.seed}] checked in {elapsed:.1f}s", file=sys.stderr)
         return 0 if report.ok else 1
 
-    if args.command == "chaos":
-        from repro.experiments.recovery import run_chaos_demo
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        started = time.perf_counter()
-        result = run_chaos_demo(config)
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "RECONVERGED" if result.ok else "FAILED TO RECONVERGE"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "hotspot":
-        from repro.experiments.hotspot import run_hotspot
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        overrides = {}
-        if args.zipf_s is not None:
-            overrides["hotspot_zipf_s"] = tuple(args.zipf_s)
-        if args.queries is not None:
-            overrides["hotspot_queries"] = args.queries
-        if args.salts is not None:
-            overrides["hotspot_salts"] = args.salts
-        if overrides:
-            config = config.scaled(**overrides)
-        systems = (
-            _resolve_systems_arg(parser, args.systems)
-            if args.systems is not None else None
-        )
-        started = time.perf_counter()
-        result = run_hotspot(config, systems=systems)
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "BALANCED" if result.ok else "GATE MISS"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "tradeoff":
-        from repro.experiments.tradeoff import run_tradeoff
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        overrides = {}
-        if args.queries is not None:
-            overrides["tradeoff_queries"] = args.queries
-        if args.churn_events is not None:
-            overrides["tradeoff_churn_events"] = args.churn_events
-        if args.fanouts is not None:
-            overrides["tradeoff_fanouts"] = tuple(args.fanouts)
-        if overrides:
-            config = config.scaled(**overrides)
-        systems = (
-            _resolve_systems_arg(parser, args.systems)
-            if args.systems is not None else None
-        )
-        started = time.perf_counter()
-        try:
-            result = run_tradeoff(
-                config,
-                systems=systems,
-                overlays=tuple(args.overlays) if args.overlays else None,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "CURVE OK" if result.ok else "GATE MISS"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "tail":
-        from repro.experiments.tail import run_tail
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        overrides = {}
-        if args.fractions is not None:
-            overrides["tail_slow_fractions"] = tuple(args.fractions)
-        if args.queries is not None:
-            overrides["tail_queries"] = args.queries
-        if args.slo_p99 is not None:
-            overrides["tail_slo_p99"] = args.slo_p99
-        if overrides:
-            config = config.scaled(**overrides)
-        started = time.perf_counter()
-        result = run_tail(config)
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "SLO MET" if result.ok else "SLO MISSED"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "durability":
-        from repro.experiments.durability import (
-            DEFAULT_SCENARIOS,
-            DEFAULT_SYSTEMS,
-            run_durability,
-        )
-        from repro.sim.durability import parse_policy
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        try:
-            policies = (
-                tuple(parse_policy(spec) for spec in args.policies)
-                if args.policies else None
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        scenarios = (
-            tuple(s for s in DEFAULT_SCENARIOS if s.name in args.scenarios)
-            if args.scenarios else DEFAULT_SCENARIOS
-        )
-        systems = (
-            _resolve_systems_arg(parser, args.systems)
-            if args.systems else DEFAULT_SYSTEMS
-        )
-        started = time.perf_counter()
-        result = run_durability(
-            config, policies=policies, scenarios=scenarios, systems=systems
-        )
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "RECOVERED" if result.ok else "FAILED TO RECOVER"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    config = _config_from(args)
+    config = _config_from(
+        parser, args, _AVAILABILITY_FIELDS if args.command == "availability" else None
+    )
     started = time.perf_counter()
     if args.command == "availability":
-        overrides = {}
-        if args.loss is not None:
-            overrides["loss_rates"] = tuple(args.loss)
-        if args.replication is not None:
-            overrides["availability_replications"] = tuple(args.replication)
-        if args.queries is not None:
-            overrides["num_availability_queries"] = args.queries
-        if overrides:
-            config = config.scaled(**overrides)
         result = run_figure("availability", config, save_dir=args.out)
         print(result.render())
         print()

@@ -170,7 +170,27 @@ class ExperimentConfig:
         require(self.hotspot_windows >= 2, "hotspot needs a warm-up window + one measured")
         require(
             self.hotspot_queries >= self.hotspot_windows,
-            "hotspot_queries must cover every window",
+            f"hotspot_queries must cover every window, got {self.hotspot_queries} "
+            f"queries for {self.hotspot_windows} windows",
+        )
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        require(
+            len(self.scale_sizes) > 0 and all(n >= 1 for n in self.scale_sizes),
+            f"scale_sizes must be non-empty with every size >= 1, got {self.scale_sizes}",
+        )
+        require(self.scale_queries >= 1, f"scale_queries must be >= 1, got {self.scale_queries}")
+        require(self.tail_queries >= 1, f"tail_queries must be >= 1, got {self.tail_queries}")
+        require(
+            all(0.0 <= f <= 1.0 for f in self.tail_slow_fractions),
+            f"tail_slow_fractions must lie in [0, 1], got {self.tail_slow_fractions}",
+        )
+        require(
+            self.tradeoff_queries >= 1,
+            f"tradeoff_queries must be >= 1, got {self.tradeoff_queries}",
+        )
+        require(
+            all(h >= 1 for h in self.tradeoff_fanouts),
+            f"tradeoff_fanouts must each be >= 1, got {self.tradeoff_fanouts}",
         )
 
     # ------------------------------------------------------------------

@@ -24,13 +24,13 @@ default maintenance budget and cadence as the chaos demo.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.experiments.common import build_services
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.gates import CellSweep, Gate
 from repro.experiments.recovery import _probe_cases, chaos_trial
 from repro.sim.chaos import CRASH_STORM_SCENARIO, DEMO_SCENARIO, ChaosScenario
 from repro.sim.durability import DEFAULT_POLICY_SPECS, DurabilityPolicy, parse_policy
@@ -81,23 +81,24 @@ class DurabilityCell:
     #: sample is structurally clean with zero replica deficit.
     recovered: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.recovered and math.isfinite(self.ttr)
-
 
 @dataclass
-class DurabilityResult:
+class DurabilityResult(CellSweep):
     """The full policy × scenario sweep."""
 
-    config: ExperimentConfig
-    cells: list[DurabilityCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    stem: ClassVar[str] = "durability"
+    cell_type: ClassVar[type] = DurabilityCell
 
-    @property
-    def ok(self) -> bool:
+    def gates(self) -> list[Gate]:
         """Every cell recovered its surviving data within the horizon."""
-        return bool(self.cells) and all(cell.ok for cell in self.cells)
+        n = len(self.cells)
+        return [
+            Gate("cells that recovered their surviving data",
+                 sum(c.recovered for c in self.cells), n, ">=", n),
+            Gate("worst data time-to-recover (s)",
+                 max((c.ttr for c in self.cells), default=math.inf),
+                 math.inf, "<", n),
+        ]
 
     def table(self) -> str:
         rows = []
@@ -125,31 +126,6 @@ class DurabilityResult:
             title="durability: redundancy policies under chaos "
             "(TTR/recovered = data recovery, availability floor 0)",
         )
-
-    def render(self) -> str:
-        out = self.table()
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``durability.csv`` + ``durability.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "durability.csv"
-        fields = [
-            "system", "policy", "scenario", "pieces_before", "pieces_lost",
-            "ttr", "deficit_area", "min_availability", "final_availability",
-            "repair_copies", "repair_bandwidth", "storage_overhead",
-            "recovered",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, name) for name in fields])
-        (directory / "durability.txt").write_text(self.render() + "\n")
-        return csv_path
 
 
 def _census_size(service, policy: DurabilityPolicy) -> int:

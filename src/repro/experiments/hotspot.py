@@ -30,14 +30,14 @@ and no sub-query may exceed its system's structural hop ceiling.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.core.hotspot import DynamicReplicator, SaltPlan
 from repro.experiments.common import SYSTEM_NAMES, build_service, resolve_systems
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.gates import CellSweep, Gate
 from repro.sim.invariants import overlay_of
 from repro.sim.loadstats import LoadStats, LoadWindow, max_mean_ratio
 from repro.sim.maintenance import MaintenanceBudget
@@ -94,18 +94,12 @@ class HotspotCell:
 
 
 @dataclass
-class HotspotResult:
+class HotspotResult(CellSweep):
     """The full system × zipf-s × mitigation sweep plus the gate verdict."""
 
-    config: ExperimentConfig
-    cells: list[HotspotCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def cell(self, system: str, zipf_s: float, mitigation: str) -> HotspotCell:
-        for c in self.cells:
-            if c.system == system and c.zipf_s == zipf_s and c.mitigation == mitigation:
-                return c
-        raise KeyError(f"no cell ({system}, {zipf_s}, {mitigation})")
+    stem: ClassVar[str] = "hotspot"
+    cell_type: ClassVar[type] = HotspotCell
+    cell_key: ClassVar[tuple[str, ...]] = ("system", "zipf_s", "mitigation")
 
     @property
     def headline_s(self) -> float:
@@ -129,24 +123,42 @@ class HotspotResult:
             return float("inf") if base > 0.0 else 1.0
         return base / best
 
-    @property
-    def ok(self) -> bool:
+    def gates(self) -> list[Gate]:
         """The CI gate: ≥``REQUIRED_CUT``× imbalance cut on SWORD at the
         headline Zipf exponent, all answers transparent, all sub-query
         hop counts within the structural ceilings."""
-        if not self.cells or self.headline_s <= 0.0:
-            return False
+        s = self.headline_s
         try:
             cut = self.cut(HEADLINE_SYSTEM)
         except KeyError:
-            return False
-        if cut < REQUIRED_CUT:
-            return False
-        if any(not c.transparent for c in self.cells):
-            return False
-        if any(c.max_subquery_hops > c.hop_bound for c in self.cells):
-            return False
-        return True
+            cut = float("nan")
+        headline = [c.queries for c in self.cells if c.system == HEADLINE_SYSTEM and c.zipf_s == s]
+        # A cut measured without skew is no evidence for the skew claim.
+        cut_samples = min(headline) if headline and s > 0.0 else 0
+        answers = sum(c.queries for c in self.cells)
+        return [
+            Gate(
+                f"{HEADLINE_SYSTEM} max/mean cut @ s={s:g} (none / best mitigation)",
+                cut,
+                REQUIRED_CUT,
+                ">=",
+                cut_samples,
+            ),
+            Gate(
+                "cells whose answers differ from unmitigated",
+                sum(not c.transparent for c in self.cells),
+                0,
+                "<=",
+                answers,
+            ),
+            Gate(
+                "cells over the structural hop ceiling",
+                sum(c.max_subquery_hops > c.hop_bound for c in self.cells),
+                0,
+                "<=",
+                answers,
+            ),
+        ]
 
     def table(self) -> str:
         rows = []
@@ -185,61 +197,6 @@ class HotspotResult:
             title="hotspot: serve-load imbalance under zipf popularity "
             "x mitigation (common random numbers)",
         )
-
-    def render(self) -> str:
-        out = self.table()
-        s = self.headline_s
-        if s > 0.0:
-            out += "\n"
-            for system in MITIGATED_SYSTEMS:
-                try:
-                    base = self.cell(system, s, "none")
-                    cut = self.cut(system)
-                except KeyError:
-                    continue
-                need = REQUIRED_CUT if system == HEADLINE_SYSTEM else 1.0
-                verdict = "ok" if cut >= need else "MISS"
-                gate = ""
-                if system == HEADLINE_SYSTEM:
-                    gate = f" (gate >= {REQUIRED_CUT:g}x: {verdict})"
-                out += (
-                    f"\n{system} @ s={s:g}: max/mean {base.imbalance:.1f} "
-                    f"(none) -> best mitigated {base.imbalance / cut:.1f}, "
-                    f"{cut:.1f}x cut{gate}"
-                )
-            out += f"\nverdict: {'ok' if self.ok else 'GATE MISS'}"
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``hotspot.csv`` + ``hotspot.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "hotspot.csv"
-        fields = [
-            "system",
-            "zipf_s",
-            "mitigation",
-            "imbalance",
-            "gini",
-            "top5_share",
-            "route_imbalance",
-            "mean_subquery_hops",
-            "max_subquery_hops",
-            "hop_bound",
-            "queries",
-            "transparent",
-            "replica_copies",
-            "replicas_created",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, name) for name in fields])
-        (directory / "hotspot.txt").write_text(self.render() + "\n")
-        return csv_path
 
 
 def _skewed_workload(config: ExperimentConfig, s: float) -> GridWorkload:

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.analysis.models import AnalysisCurve
 from repro.experiments.common import ServiceBundle, build_services
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.gates import Gate, Gated, render_gates
 from repro.experiments.report import FigureResult
 from repro.sim.chaos import DEMO_SCENARIO, ChaosScenario
 from repro.sim.churn import ChurnProcess
@@ -152,7 +153,7 @@ def _fmt_time(t: float) -> str:
 
 
 @dataclass
-class ChaosDemoResult:
+class ChaosDemoResult(Gated):
     """The acceptance-demo outcome: budgeted vs. zero-budget recovery."""
 
     figure: FigureResult
@@ -161,20 +162,23 @@ class ChaosDemoResult:
     #: service name -> tracker, under ZERO_BUDGET.
     unbudgeted: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
+    def gates(self) -> list[Gate]:
         """The demo's contract: every system heals under the default
         budget, *no* system heals with maintenance disabled, and every
         system's availability visibly dipped during the faults."""
-        if not self.budgeted or not self.unbudgeted:
-            return False
-        healed = all(t.reconverged for t in self.budgeted.values())
-        stuck = all(not t.reconverged for t in self.unbudgeted.values())
-        dipped = all(
+        n, zero = len(self.budgeted), len(self.unbudgeted)
+        dipped = sum(
             min(a for _, a in t.availability_timeline()) < 1.0
             for t in self.budgeted.values()
         )
-        return healed and stuck and dipped
+        return [
+            Gate("systems reconverged under the default budget",
+                 sum(t.reconverged for t in self.budgeted.values()), n, ">=", n),
+            Gate("systems reconverged with maintenance disabled (budget=0)",
+                 sum(t.reconverged for t in self.unbudgeted.values()), 0, "<=", zero),
+            Gate("systems whose availability dipped during the faults",
+                 dipped, n, ">=", n),
+        ]
 
     def slo_table(self) -> str:
         """Per-system recovery SLO summary (both budget regimes)."""
@@ -198,8 +202,11 @@ class ChaosDemoResult:
         )
 
     def render(self) -> str:
-        """Full text report: SLO table + availability timelines + notes."""
-        return self.slo_table() + "\n\n" + self.figure.render()
+        """Full text report: SLO table + gates + availability timelines."""
+        return (
+            self.slo_table() + "\n\n" + render_gates(self.gates())
+            + "\n\n" + self.figure.render()
+        )
 
     def save(self, directory) -> Path:
         """Persist alongside the figure's CSV/text output."""

@@ -30,6 +30,7 @@ import numpy as np
 from repro.analysis.models import AnalysisCurve
 from repro.bench.harness import max_rss_kb
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.gates import Gate, Gated, render_gates
 from repro.experiments.report import FigureResult
 from repro.overlay.arraystore import CompactChordRing
 from repro.utils.seeding import SeedFactory
@@ -118,17 +119,40 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
     )
 
 
-class ScaleResult(FigureResult):
+class ScaleResult(Gated, FigureResult):
     """A :class:`FigureResult` that also persists the raw scaling table.
 
     :meth:`save` writes the usual ``scale.csv`` / ``scale.txt`` plus
     ``scale_table.json`` — the machine-readable artifact the CI smoke
-    step uploads (strict JSON: ``allow_nan=False``).
+    step uploads (strict JSON: ``allow_nan=False``).  The optional
+    wall-clock and memory budgets become its gates.
     """
 
-    def __init__(self, points: list[ScalePoint], **kwargs) -> None:
+    def __init__(self, points: list[ScalePoint], *, wall_seconds: float = 0.0,
+                 budget_seconds: float | None = None,
+                 budget_mb: float | None = None, **kwargs) -> None:
         super().__init__(**kwargs)
         self.points = points
+        self.wall_seconds = wall_seconds
+        self.budget_seconds = budget_seconds
+        self.budget_mb = budget_mb
+
+    def gates(self) -> list[Gate]:
+        """One gate per budget given: whole-sweep wall-clock, and the
+        worst point's peak traced memory."""
+        gates = []
+        if self.budget_seconds is not None:
+            gates.append(Gate("sweep wall-clock (s)", self.wall_seconds,
+                              self.budget_seconds, "<=", len(self.points)))
+        if self.budget_mb is not None:
+            worst = max((p.peak_tracemalloc_mb for p in self.points), default=float("nan"))
+            gates.append(Gate("worst point's peak traced memory (MB)", worst,
+                              self.budget_mb, "<=", len(self.points)))
+        return gates
+
+    def render(self) -> str:
+        """Figure report, then the budget gates and verdict."""
+        return super().render() + "\n\n" + render_gates(self.gates())
 
     def table_json(self) -> str:
         """The per-point table as strict JSON (no NaN/Infinity tokens)."""
@@ -152,8 +176,15 @@ def run_scale(
     *,
     parallel: bool = False,
     max_workers: int | None = None,
+    budget_seconds: float | None = None,
+    budget_mb: float | None = None,
 ) -> ScaleResult:
-    """Hops and maintenance cost vs population n on the compact core."""
+    """Hops and maintenance cost vs population n on the compact core.
+
+    ``budget_seconds`` (whole sweep) and ``budget_mb`` (worst point's
+    peak traced memory) add the result's gates.
+    """
+    started = time.perf_counter()
     sizes = [int(n) for n in config.scale_sizes]
     if parallel:
         from repro.experiments.runner import run_points_parallel
@@ -167,6 +198,9 @@ def run_scale(
     xs = tuple(float(p.num_nodes) for p in points)
     result = ScaleResult(
         points,
+        wall_seconds=time.perf_counter() - started,
+        budget_seconds=budget_seconds,
+        budget_mb=budget_mb,
         figure_id="scale",
         title="Chord routing and maintenance cost vs population n",
         x_label="nodes n",

@@ -25,14 +25,14 @@ the property suite verifies independently.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.experiments.common import ServiceBundle, build_services
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.gates import CellSweep, Gate
 from repro.sim.chaos import slow_victims
 from repro.sim.faults import (
     ADAPTIVE_POLICY,
@@ -96,22 +96,12 @@ class TailCell:
 
 
 @dataclass
-class TailResult:
+class TailResult(CellSweep):
     """The full system × fraction × policy sweep plus the SLO verdict."""
 
-    config: ExperimentConfig
-    cells: list[TailCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def cell(self, system: str, fraction: float, policy: str) -> TailCell:
-        for c in self.cells:
-            if (
-                c.system == system
-                and c.slow_fraction == fraction
-                and c.policy == policy
-            ):
-                return c
-        raise KeyError(f"no cell ({system}, {fraction}, {policy})")
+    stem: ClassVar[str] = "tail"
+    cell_type: ClassVar[type] = TailCell
+    cell_key: ClassVar[tuple[str, ...]] = ("system", "slow_fraction", "policy")
 
     @property
     def headline_fraction(self) -> float:
@@ -129,29 +119,35 @@ class TailResult:
             return float("inf") if fixed > 0.0 else 1.0
         return fixed / hedged
 
-    @property
-    def ok(self) -> bool:
-        """The ISSUE 8 headline: ≥2× p99 cut on LORM and SWORD under the
+    def gates(self) -> list[Gate]:
+        """The SLO gate: ≥2× p99 cut on LORM and SWORD under the
         gray-failure fraction, hedged p99 within the SLO, hedge overhead
         bounded."""
-        if not self.cells or self.headline_fraction <= 0.0:
-            return False
+        fraction = self.headline_fraction
+        gates = []
         for system in HEADLINE_SYSTEMS:
             try:
-                hedged = self.cell(system, self.headline_fraction, "hedged")
+                fixed = self.cell(system, fraction, "fixed")
+                hedged = self.cell(system, fraction, "hedged")
             except KeyError:
-                return False
-            if self.speedup(system) < HEADLINE_SPEEDUP:
-                return False
-            if hedged.p99 > self.config.tail_slo_p99:
-                return False
-        if any(
-            c.hedge_overhead > MAX_HEDGE_OVERHEAD
-            for c in self.cells
-            if c.policy == "hedged"
-        ):
-            return False
-        return True
+                speedup = p99 = float("nan")
+                samples = 0
+            else:
+                speedup, p99 = self.speedup(system), hedged.p99
+                # Without gray nodes there is no tail to cut: no evidence.
+                samples = min(fixed.queries, hedged.queries) if fraction > 0.0 else 0
+            where = f"{system} @ {fraction:.0%} slow"
+            gates.append(Gate(f"{where}: p99 fixed/hedged", speedup,
+                              HEADLINE_SPEEDUP, ">=", samples))
+            gates.append(Gate(f"{where}: hedged p99 (s)", p99,
+                              self.config.tail_slo_p99, "<=", samples))
+        hedged_cells = [c for c in self.cells if c.policy == "hedged"]
+        gates.append(Gate(
+            "worst hedge overhead (hedges/messages)",
+            max((c.hedge_overhead for c in hedged_cells), default=float("nan")),
+            MAX_HEDGE_OVERHEAD, "<=", sum(c.messages for c in hedged_cells),
+        ))
+        return gates
 
     def table(self) -> str:
         rows = []
@@ -176,53 +172,6 @@ class TailResult:
             title="tail latency: gray failures x requester policies "
             "(lognormal per-message latency)",
         )
-
-    def render(self) -> str:
-        out = self.table()
-        fraction = self.headline_fraction
-        if fraction > 0.0:
-            out += "\n"
-            for system in HEADLINE_SYSTEMS:
-                try:
-                    speedup = self.speedup(system)
-                    hedged = self.cell(system, fraction, "hedged")
-                except KeyError:
-                    continue
-                verdict = (
-                    "ok"
-                    if speedup >= HEADLINE_SPEEDUP
-                    and hedged.p99 <= self.config.tail_slo_p99
-                    else "MISS"
-                )
-                out += (
-                    f"\n{system} @ {fraction:.0%} slow: p99 "
-                    f"{self.cell(system, fraction, 'fixed').p99 * 1000:.0f} ms "
-                    f"(fixed) -> {hedged.p99 * 1000:.0f} ms (hedged), "
-                    f"{speedup:.1f}x, SLO {self.config.tail_slo_p99 * 1000:.0f} "
-                    f"ms: {verdict}"
-                )
-            out += f"\nverdict: {'ok' if self.ok else 'SLO MISS'}"
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``tail.csv`` + ``tail.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "tail.csv"
-        fields = [
-            "system", "slow_fraction", "policy", "p50", "p99", "p999",
-            "mean", "queries", "messages", "timeouts", "retries", "hedges",
-            "hedges_won",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, name) for name in fields])
-        (directory / "tail.txt").write_text(self.render() + "\n")
-        return csv_path
 
 
 def _measure_cell(

@@ -19,23 +19,23 @@ unlimited budget every trace is additionally pushed through the
 :func:`~repro.testing.traces.assert_trace_bounds` oracle, so the headline
 single-hop claim ("1 hop") is verified hop by hop, not just as a metric.
 
-The verdict (:attr:`TradeoffResult.ok`, the CI gate):
+The gates (:meth:`TradeoffResult.gates`, the CI verdict):
 
 * at unlimited budget, single-hop mean lookup hops ≤ 1.05 for **every**
   system, with every trace oracle-verified;
-* at unlimited budget, ReCord mean hops are monotonically non-increasing
-  in the fan-out (nested finger sampling makes the tables supersets);
-* every overlay × budget cell reports maintenance msgs/event.
+* at unlimited budget, ReCord mean hops fall strictly with each step up
+  in fan-out (nested finger sampling makes the tables supersets, and a
+  flat curve means the fan-out bought nothing).
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from typing import ClassVar
 
-from repro.experiments.common import build_services, resolve_systems
+from repro.experiments.common import SYSTEM_NAMES, build_services, resolve_systems
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.gates import CellSweep, Gate
 from repro.obs.spans import QueryTracer, SpanKind
 from repro.sim.invariants import overlay_of
 from repro.sim.maintenance import (
@@ -48,7 +48,13 @@ from repro.testing.traces import assert_trace_bounds
 from repro.utils.formatting import render_table
 from repro.workloads.generator import QueryKind
 
-__all__ = ["TradeoffCell", "TradeoffResult", "run_tradeoff", "SINGLEHOP_MEAN_HOPS_GATE"]
+__all__ = [
+    "TradeoffCell",
+    "TradeoffResult",
+    "run_tradeoff",
+    "select_points",
+    "SINGLEHOP_MEAN_HOPS_GATE",
+]
 
 #: The CI gate on single-hop mean lookup hops at unlimited budget.
 SINGLEHOP_MEAN_HOPS_GATE = 1.05
@@ -96,26 +102,14 @@ class TradeoffCell:
 
 
 @dataclass
-class TradeoffResult:
+class TradeoffResult(CellSweep):
     """The full sweep plus the gate verdict."""
 
-    config: ExperimentConfig
-    systems: tuple[str, ...]
-    cells: list[TradeoffCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    systems: tuple[str, ...] = SYSTEM_NAMES
 
-    def cell(self, overlay: str, budget: str, system: str) -> TradeoffCell:
-        for c in self.cells:
-            if c.overlay == overlay and c.budget == budget and c.system == system:
-                return c
-        raise KeyError(f"no cell ({overlay}, {budget}, {system})")
-
-    def mean_hops_over_systems(self, overlay: str, budget: str) -> float:
-        hops = [c.mean_hops for c in self.cells
-                if c.overlay == overlay and c.budget == budget]
-        if not hops:
-            raise KeyError(f"no cells ({overlay}, {budget})")
-        return sum(hops) / len(hops)
+    stem: ClassVar[str] = "tradeoff"
+    cell_type: ClassVar[type] = TradeoffCell
+    cell_key: ClassVar[tuple[str, ...]] = ("overlay", "budget", "system")
 
     @property
     def record_labels(self) -> tuple[str, ...]:
@@ -124,26 +118,37 @@ class TradeoffResult:
             f"record:f{f}" for f in sorted(self.config.tradeoff_fanouts)
         )
 
-    @property
-    def ok(self) -> bool:
-        if not self.cells:
-            return False
-        try:
-            for system in self.systems:
-                cell = self.cell("singlehop", "unlimited", system)
-                if cell.mean_hops > SINGLEHOP_MEAN_HOPS_GATE or not cell.verified:
-                    return False
-            means = [
-                self.mean_hops_over_systems(label, "unlimited")
-                for label in self.record_labels
-            ]
-        except KeyError:
-            return False
-        if any(b > a + 1e-9 for a, b in zip(means, means[1:])):
-            return False
-        return all(
-            c.maintenance_per_event >= 0.0 for c in self.cells
-        )
+    def _unlimited(self, overlay: str) -> tuple[list[TradeoffCell], int]:
+        """Every system's unlimited-budget cell at ``overlay``, and the
+        fewest lookups behind any of them (0 when a system's is missing)."""
+        cells = [c for c in self.cells if c.overlay == overlay
+                 and c.budget == "unlimited" and c.system in self.systems]
+        if len(cells) < len(self.systems):
+            return cells, 0
+        return cells, min((c.lookups for c in cells), default=0)
+
+    def gates(self) -> list[Gate]:
+        """Single-hop within the hop ceiling on every system with every
+        trace oracle-verified, and ReCord hops strictly falling with the
+        fan-out — all at unlimited budget."""
+        single, samples = self._unlimited("singlehop")
+        gates = [
+            Gate("single-hop worst mean hops @ unlimited",
+                 max((c.mean_hops for c in single), default=float("nan")),
+                 SINGLEHOP_MEAN_HOPS_GATE, "<=", samples),
+            Gate("single-hop systems with every trace oracle-verified",
+                 sum(c.verified for c in single), len(self.systems), ">=",
+                 samples),
+        ]
+        curve = []
+        for label in self.record_labels:
+            cells, n = self._unlimited(label)
+            hops = sum(c.mean_hops for c in cells) / len(cells) if cells else float("nan")
+            curve.append((label, hops, n))
+        for (prev, prev_hops, prev_n), (label, hops, n) in zip(curve, curve[1:]):
+            gates.append(Gate(f"ReCord mean hops @ unlimited, {label} vs {prev}",
+                              hops, prev_hops, "<", min(prev_n, n)))
+        return gates
 
     def table(self) -> str:
         rows = []
@@ -178,62 +183,6 @@ class TradeoffResult:
             title="tradeoff: lookup hops/latency vs maintenance bandwidth "
             "(common random numbers)",
         )
-
-    def render(self) -> str:
-        out = self.table()
-        out += "\n"
-        try:
-            worst = max(
-                self.cell("singlehop", "unlimited", s).mean_hops
-                for s in self.systems
-            )
-            out += (
-                f"\nsingle-hop @ unlimited budget: worst mean hops "
-                f"{worst:.3f} (gate <= {SINGLEHOP_MEAN_HOPS_GATE:g}: "
-                f"{'ok' if worst <= SINGLEHOP_MEAN_HOPS_GATE else 'MISS'})"
-            )
-            means = [
-                self.mean_hops_over_systems(label, "unlimited")
-                for label in self.record_labels
-            ]
-            arrow = " -> ".join(f"{m:.2f}" for m in means)
-            mono = all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
-            out += (
-                f"\nReCord mean hops vs fan-out @ unlimited: {arrow} "
-                f"(monotone: {'ok' if mono else 'MISS'})"
-            )
-        except KeyError:
-            out += "\n(sweep incomplete: verdict cells missing)"
-        out += f"\nverdict: {'ok' if self.ok else 'GATE MISS'}"
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``tradeoff.csv`` + ``tradeoff.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "tradeoff.csv"
-        fields = [
-            "overlay",
-            "budget",
-            "system",
-            "mean_hops",
-            "max_hops",
-            "mean_latency",
-            "maintenance_per_event",
-            "retries",
-            "queries",
-            "lookups",
-            "verified",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, f) for f in fields])
-        (directory / "tradeoff.txt").write_text(self.render() + "\n")
-        return csv_path
 
 
 def _measure_cell(
@@ -281,13 +230,14 @@ def _measure_cell(
         service.attach_tracer(None)
 
         hop_counts = []
-        verified = budget_name == "unlimited"
         for trace in tracer.traces:
             for span in trace.spans_of(SpanKind.LOOKUP):
                 hop_counts.append(len(span.hop_spans()))
             if budget_name == "unlimited":
                 assert_trace_bounds(trace, service)
         mean_hops = sum(hop_counts) / len(hop_counts) if hop_counts else 0.0
+        # A cell with no lookups verified nothing.
+        verified = budget_name == "unlimited" and bool(hop_counts)
         cells.append(
             TradeoffCell(
                 overlay=label,
@@ -306,6 +256,27 @@ def _measure_cell(
     return cells
 
 
+def select_points(
+    config: ExperimentConfig, overlays: tuple[str, ...] | None = None
+) -> tuple[tuple[str, str, int], ...]:
+    """The swept overlay points, restricted to the ``overlays`` labels
+    (case-insensitive) when given.
+
+    Raises ``ValueError`` naming the valid labels for an unknown one.
+    """
+    points = overlay_points(config)
+    if overlays is None:
+        return points
+    wanted = {o.lower() for o in overlays}
+    unknown = wanted - {p[0].lower() for p in points}
+    if unknown:
+        raise ValueError(
+            f"unknown tradeoff overlay point(s) {sorted(unknown)}; valid: "
+            f"{', '.join(p[0] for p in points)}"
+        )
+    return tuple(p for p in points if p[0].lower() in wanted)
+
+
 def run_tradeoff(
     config: ExperimentConfig,
     *,
@@ -319,17 +290,8 @@ def run_tradeoff(
     every ReCord point at unlimited budget, so restricted sweeps report
     ``ok=False`` unless those survive.
     """
-    systems = resolve_systems(systems) if systems else ("LORM", "Mercury", "SWORD", "MAAN")
-    points = overlay_points(config)
-    if overlays is not None:
-        wanted = {o.lower() for o in overlays}
-        points = tuple(p for p in points if p[0].lower() in wanted)
-        unknown = wanted - {p[0].lower() for p in overlay_points(config)}
-        if unknown:
-            raise ValueError(
-                f"unknown tradeoff overlay point(s) {sorted(unknown)}; valid: "
-                f"{', '.join(p[0] for p in overlay_points(config))}"
-            )
+    systems = resolve_systems(systems) if systems else SYSTEM_NAMES
+    points = select_points(config, overlays)
     result = TradeoffResult(config=config, systems=systems)
     for label, overlay, fanout in points:
         for budget_name in config.tradeoff_budgets:

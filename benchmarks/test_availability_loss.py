@@ -55,11 +55,7 @@ def _sweep():
     flagged_ok = {}
     conserved = {}
     for service in bundle.all():
-        network = (
-            service.overlay.network
-            if hasattr(service, "overlay")
-            else service.ring.network
-        )
+        network = service.overlay.network
         before = network.stats.snapshot()
         injector = FaultInjector(FaultPlan(loss_rate=LOSS, seed=7_000 + len(no_retry)))
         service.configure_faults(injector, NO_RETRY_POLICY)

@@ -33,7 +33,7 @@ def main() -> None:
         stats = summarize(service.directory_sizes())
         print(f"== {service.name}:  mean {stats.mean:.1f}  p99 {stats.p99:.0f} "
               f" max {stats.maximum:.0f}")
-        print(render_ring_load(service.ring, width=64))
+        print(render_ring_load(service.overlay, width=64))
         print()
 
     stats = summarize(bundle.lorm.directory_sizes())

@@ -29,7 +29,7 @@ from repro.core.resource import (
 from repro.hashing.consistent import ConsistentHash
 from repro.hashing.locality import LocalityPreservingHash
 from repro.hashing.spread import spread_attribute_ids
-from repro.overlay.chord import ChordNode, ChordRing
+from repro.overlay.chord import ChordRing
 from repro.sim.metrics import MetricsRegistry
 from repro.utils.seeding import SeedFactory
 from repro.workloads.attributes import AttributeSchema
@@ -40,7 +40,10 @@ __all__ = ["DiscoveryService", "ChordBackedService"]
 class DiscoveryService(ABC):
     """Abstract resource-discovery service (one per approach).
 
-    Subclasses bind an overlay substrate and implement the placement and
+    The overlay substrate is ``self.overlay`` (see
+    :mod:`repro.overlay.base`); everything generic over it — entry-node
+    picks, ``H``/``ℋ``, fault binding, churn, stabilization, Figure 3
+    metrics — lives here once.  Subclasses implement the placement and
     query strategies; accounting conventions are shared:
 
     * ``hops`` — overlay routing messages (Figure 4's logical hops);
@@ -71,8 +74,68 @@ class DiscoveryService(ABC):
     #: query paths free of load accounting — one ``is None`` check.
     load_stats: Any | None = None
 
-    metrics: MetricsRegistry
-    schema: AttributeSchema
+    def __init__(
+        self,
+        overlay: Any,
+        schema: AttributeSchema,
+        *,
+        seed: int,
+        lph_kind: str,
+        attr_placement: str,
+        attr_bits: int,
+        value_space: int,
+    ) -> None:
+        #: The overlay substrate (a :class:`~repro.overlay.base.Overlay`).
+        self.overlay = overlay
+        self.schema = schema
+        self.lph_kind = lph_kind
+        #: When False, range queries skip gathering the matching infos and
+        #: only produce accounting (hops / visited nodes).  The paper-scale
+        #: range benchmarks measure visited-node counts over millions of
+        #: node visits; collecting matches there is pure overhead.
+        self.collect_matches = True
+        self.metrics = MetricsRegistry()
+        self._seeds = SeedFactory(seed).fork(f"service:{self.name}")
+        self._rng: np.random.Generator = self._seeds.numpy("queries")
+        self._churn_rng: np.random.Generator = self._seeds.numpy("churn")
+        #: H — consistent hash of attribute names onto ``2**attr_bits`` ids.
+        self.attr_hash = ConsistentHash(bits=attr_bits)
+        #: "spread" gives every attribute a distinct root ID (the paper's
+        #: model — see repro.hashing.spread); "hash" is plain consistent
+        #: hashing with collisions.
+        self.attr_placement = attr_placement
+        self._attr_ids: dict[str, int] | None = None
+        #: Size of the space ℋ maps attribute values onto.
+        self._value_space = value_space
+        self._value_hashes: dict[str, LocalityPreservingHash] = {}
+        self._departed: list[Any] = []
+
+    # ------------------------------------------------------------------
+    # ID mapping
+    # ------------------------------------------------------------------
+    def attr_key(self, attribute: str) -> int:
+        """The root ID of ``attribute`` (``H(a)``, spread or plain)."""
+        if self.attr_placement == "hash":
+            return self.attr_hash(attribute)
+        if self._attr_ids is None:
+            self._attr_ids = spread_attribute_ids(self.schema.names, self.attr_hash)
+        try:
+            return self._attr_ids[attribute]
+        except KeyError:
+            raise KeyError(
+                f"attribute {attribute!r} is not in the globally-known schema "
+                f"({len(self.schema)} attributes)"
+            ) from None
+
+    def value_hash(self, attribute: str) -> LocalityPreservingHash:
+        """The locality-preserving hash ℋ for ``attribute``."""
+        vh = self._value_hashes.get(attribute)
+        if vh is None:
+            vh = self.schema.spec(attribute).value_hash(
+                size=self._value_space, kind=self.lph_kind
+            )
+            self._value_hashes[attribute] = vh
+        return vh
 
     # ------------------------------------------------------------------
     # Tracing
@@ -86,10 +149,8 @@ class DiscoveryService(ABC):
         message; detached, the hot paths are byte-for-byte the untraced
         ones.
         """
-        from repro.sim.invariants import overlay_of
-
         self.tracer = tracer
-        overlay_of(self).tracer = tracer
+        self.overlay.tracer = tracer
 
     def attach_load_stats(self, stats: Any | None) -> None:
         """Attach a :class:`~repro.sim.loadstats.LoadStats` sink (``None``
@@ -185,6 +246,20 @@ class DiscoveryService(ABC):
     def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
         """Approach-specific resolution behind :meth:`query`."""
 
+    def _resolve_start(self, start: Any | None) -> Any:
+        return start if start is not None else self.random_node()
+
+    def _record(self, hops: int, visited: int) -> None:
+        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
+
+    def _failed_result(self, lookup: Any) -> QueryResult:
+        """A lookup that never reached an owner: honest empty partial."""
+        self._record(lookup.hops, 0)
+        return QueryResult(
+            matches=(), hops=lookup.hops, visited_nodes=0,
+            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
+        )
+
     def multi_query(
         self, mq: MultiAttributeQuery, start: Any | None = None
     ) -> MultiQueryResult:
@@ -238,11 +313,12 @@ class DiscoveryService(ABC):
         """Attach a fault injector (and optional lookup policy) to the
         service's overlay network; ``injector=None`` detaches it.
 
-        Subclasses bind this to their overlay.  While an injector is
-        active, lookups run without oracle assistance and can return
-        ``complete=False`` results.
+        While an injector is active, lookups run without oracle
+        assistance and can return ``complete=False`` results.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no overlay binding")
+        self.overlay.network.faults = injector
+        if policy is not None:
+            self.overlay.lookup_policy = policy
 
     def configure_latency(self, model: Any | None) -> None:
         """Attach a :class:`~repro.sim.latency.LatencyModel` to the
@@ -254,9 +330,7 @@ class DiscoveryService(ABC):
         pre-latency world.  Attaching resets the RTT book so back-to-back
         measurement cells never share estimator state.
         """
-        from repro.sim.invariants import overlay_of
-
-        net = overlay_of(self).network
+        net = self.overlay.network
         net.latency_model = model
         net.reset_rtt()
         self._latency_net = net if model is not None else None
@@ -264,22 +338,28 @@ class DiscoveryService(ABC):
     # ------------------------------------------------------------------
     # Structure metrics (Figure 3)
     # ------------------------------------------------------------------
-    @abstractmethod
     def random_node(self) -> Any:
         """A uniformly random live node (query entry point)."""
+        ids = self.overlay.node_ids
+        return self.overlay.node(ids[int(self._rng.integers(len(ids)))])
 
-    @abstractmethod
     def directory_sizes(self) -> list[int]:
         """Per-node resource-information piece counts."""
+        return self.overlay.directory_sizes()
 
-    @abstractmethod
     def outlink_counts(self) -> list[int]:
         """Per-node maintained-neighbour counts (Mercury multiplies by the
         number of hubs, as each node participates in every hub)."""
+        return self.overlay.outlink_counts()
 
-    @abstractmethod
     def num_nodes(self) -> int:
         """Current live population."""
+        return self.overlay.num_nodes
+
+    def maintenance_scale(self) -> int:
+        """Structural maintenance multiplier: how many routing tables each
+        node keeps (Mercury keeps one per attribute hub)."""
+        return 1
 
     def total_info_pieces(self) -> int:
         """System-wide stored pieces (MAAN stores 2 per info, Theorem 4.2)."""
@@ -311,21 +391,41 @@ class DiscoveryService(ABC):
     # ------------------------------------------------------------------
     # Churn (Section V-C)
     # ------------------------------------------------------------------
-    @abstractmethod
+    def _churn_victim(self) -> Any | None:
+        """A random live node id to remove; None below three nodes."""
+        if self.overlay.num_nodes <= 2:
+            return None
+        ids = self.overlay.node_ids
+        return ids[int(self._churn_rng.integers(len(ids)))]
+
     def churn_leave(self) -> bool:
         """A random live node departs gracefully; False if impossible."""
+        victim = self._churn_victim()
+        if victim is None:
+            return False
+        self.overlay.leave(victim)
+        self._departed.append(victim)
+        return True
 
-    @abstractmethod
     def churn_join(self) -> bool:
         """A previously departed node rejoins; False if none is vacant."""
+        if not self._departed:
+            return False
+        idx = int(self._churn_rng.integers(len(self._departed)))
+        self.overlay.join(self._departed.pop(idx))
+        return True
 
-    @abstractmethod
     def churn_fail(self) -> bool:
         """A random live node *crashes* (no key hand-off); False if
         impossible.  Whether data survives depends on the overlay's
         replication factor."""
+        victim = self._churn_victim()
+        if victim is None:
+            return False
+        self.overlay.fail(victim)
+        self._departed.append(victim)
+        return True
 
-    @abstractmethod
     def stabilize(self, budget: Any | None = None) -> Any:
         """One periodic stabilization round.
 
@@ -335,26 +435,27 @@ class DiscoveryService(ABC):
         (stabilize / refresh / replica-repair caps) and returns its
         :class:`~repro.sim.maintenance.MaintenanceReport`.
         """
+        if budget is None:
+            self.overlay.stabilize_all()
+            return None
+        return self.maintenance_round().run(budget)
 
     def maintenance_round(self) -> Any:
         """The service's lazily created budgeted-maintenance round (one
         round-robin cursor state per service)."""
-        from repro.sim.invariants import overlay_of
         from repro.sim.maintenance import MaintenanceRound
 
         round_ = getattr(self, "_maintenance_round", None)
         if round_ is None:
-            round_ = MaintenanceRound(overlay_of(self))
+            round_ = MaintenanceRound(self.overlay)
             self._maintenance_round = round_
         return round_
 
 
 class ChordBackedService(DiscoveryService):
-    """Common machinery for the Chord-based approaches.
-
-    Owns the ring, the consistent hash ``H`` over attribute names, lazily
-    constructed per-attribute locality-preserving hashes ``ℋ``, the query
-    RNG and the churn bookkeeping.
+    """Common machinery for the Chord-based approaches: ring construction,
+    ``H`` and ``ℋ`` over the full ring id space, and the hotspot
+    mitigations (salted roots, dynamic root replication).
     """
 
     #: Optional :class:`~repro.core.hotspot.SaltPlan` spreading attribute
@@ -378,27 +479,11 @@ class ChordBackedService(DiscoveryService):
         attr_placement: str = "spread",
         salting: Any | None = None,
     ) -> None:
-        self.ring = ring
+        super().__init__(
+            ring, schema, seed=seed, lph_kind=lph_kind, attr_placement=attr_placement,
+            attr_bits=ring.bits, value_space=ring.space.size,
+        )
         self.salting = salting
-        self.schema = schema
-        self.lph_kind = lph_kind
-        #: When False, range queries skip gathering the matching infos and
-        #: only produce accounting (hops / visited nodes).  The paper-scale
-        #: range benchmarks measure visited-node counts over millions of
-        #: node visits; collecting matches there is pure overhead.
-        self.collect_matches = True
-        self.metrics = MetricsRegistry()
-        self._seeds = SeedFactory(seed).fork(f"service:{self.name}")
-        self._rng: np.random.Generator = self._seeds.numpy("queries")
-        self._churn_rng: np.random.Generator = self._seeds.numpy("churn")
-        self.attr_hash = ConsistentHash(bits=ring.bits)
-        #: "spread" gives every attribute a distinct root ID (the paper's
-        #: model — see repro.hashing.spread); "hash" is plain consistent
-        #: hashing with collisions.
-        self.attr_placement = attr_placement
-        self._attr_ids: dict[str, int] | None = None
-        self._value_hashes: dict[str, LocalityPreservingHash] = {}
-        self._departed: list[int] = []
 
     @classmethod
     def build_full(
@@ -444,22 +529,8 @@ class ChordBackedService(DiscoveryService):
         return cls(ring, schema, seed=seed, **kwargs)
 
     # ------------------------------------------------------------------
-    # Shared helpers
+    # Hotspot mitigation
     # ------------------------------------------------------------------
-    def attr_key(self, attribute: str) -> int:
-        """The ring ID of ``attribute``'s root (``H(a)``, spread or plain)."""
-        if self.attr_placement == "hash":
-            return self.attr_hash(attribute)
-        if self._attr_ids is None:
-            self._attr_ids = spread_attribute_ids(self.schema.names, self.attr_hash)
-        try:
-            return self._attr_ids[attribute]
-        except KeyError:
-            raise KeyError(
-                f"attribute {attribute!r} is not in the globally-known schema "
-                f"({len(self.schema)} attributes)"
-            ) from None
-
     def attach_hot_replicator(self, replicator: Any | None) -> None:
         """Attach a :class:`~repro.core.hotspot.DynamicReplicator`
         (``None`` detaches; any placed replicas are dropped first so the
@@ -505,86 +576,12 @@ class ChordBackedService(DiscoveryService):
                 return target, self.hot_replicator.replica_namespace, key
         return key, namespace, key
 
-    def value_hash(self, attribute: str) -> LocalityPreservingHash:
-        """The locality-preserving hash ℋ for ``attribute`` on this ring."""
-        vh = self._value_hashes.get(attribute)
-        if vh is None:
-            vh = self.schema.spec(attribute).value_hash(
-                size=self.ring.space.size, kind=self.lph_kind
-            )
-            self._value_hashes[attribute] = vh
-        return vh
-
-    def random_node(self) -> ChordNode:
-        ids = self.ring.node_ids
-        return self.ring.node(ids[int(self._rng.integers(len(ids)))])
-
-    def directory_sizes(self) -> list[int]:
-        return self.ring.directory_sizes()
-
-    def outlink_counts(self) -> list[int]:
-        return self.ring.outlink_counts()
-
-    def num_nodes(self) -> int:
-        return self.ring.num_nodes
-
     def structural_hop_bound(self) -> int:
         # Closest-preceding-finger routing at least halves the clockwise
         # distance per hop, so ``bits`` hops reach the key's predecessor
         # and one more lands on the owner.
-        return self.ring.bits + 1
+        return self.overlay.bits + 1
 
     def max_visited_per_subquery(self) -> int:
         # A range walk can cover the whole ring (Theorem 4.10's worst case).
-        return self.ring.num_nodes
-
-    def _resolve_start(self, start: ChordNode | None) -> ChordNode:
-        return start if start is not None else self.random_node()
-
-    def _failed_result(self, lookup: Any) -> QueryResult:
-        """A lookup that never reached an owner: honest empty partial."""
-        self.metrics.record_pair("query.hops", lookup.hops, "query.visited", 0)
-        return QueryResult(
-            matches=(), hops=lookup.hops, visited_nodes=0,
-            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
-        )
-
-    def configure_faults(self, injector: Any, policy: Any | None = None) -> None:
-        self.ring.network.faults = injector
-        if policy is not None:
-            self.ring.lookup_policy = policy
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    def churn_leave(self) -> bool:
-        if self.ring.num_nodes <= 2:
-            return False
-        ids = self.ring.node_ids
-        victim = int(ids[int(self._churn_rng.integers(len(ids)))])
-        self.ring.leave(victim)
-        self._departed.append(victim)
-        return True
-
-    def churn_join(self) -> bool:
-        if not self._departed:
-            return False
-        idx = int(self._churn_rng.integers(len(self._departed)))
-        node_id = self._departed.pop(idx)
-        self.ring.join(node_id)
-        return True
-
-    def churn_fail(self) -> bool:
-        if self.ring.num_nodes <= 2:
-            return False
-        ids = self.ring.node_ids
-        victim = int(ids[int(self._churn_rng.integers(len(ids)))])
-        self.ring.fail(victim)
-        self._departed.append(victim)
-        return True
-
-    def stabilize(self, budget: Any | None = None) -> Any:
-        if budget is None:
-            self.ring.stabilize_all()
-            return None
-        return self.maintenance_round().run(budget)
+        return self.overlay.num_nodes

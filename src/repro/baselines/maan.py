@@ -35,7 +35,7 @@ class MaanService(ChordBackedService):
     def max_visited_per_subquery(self) -> int:
         # Range: the attribute root plus a value-arc walk that can span
         # the whole ring (Theorem 4.9).
-        return self.ring.num_nodes + 1
+        return self.overlay.num_nodes + 1
 
     # ------------------------------------------------------------------
     # Registration
@@ -51,15 +51,15 @@ class MaanService(ChordBackedService):
         value_key = self.value_hash(info.attribute)(info.value)
         if not routed:
             for attr_key in attr_keys:
-                self.ring.store(_ATTR_NS, attr_key, info)
-            self.ring.store(_VALUE_NS, value_key, info)
+                self.overlay.store(_ATTR_NS, attr_key, info)
+            self.overlay.store(_VALUE_NS, value_key, info)
             hops = 0
         else:
             origin = self.random_node()
             hops = 0
             for attr_key in attr_keys:
-                hops += self.ring.routed_store(origin, _ATTR_NS, attr_key, info).hops
-            hops += self.ring.routed_store(origin, _VALUE_NS, value_key, info).hops
+                hops += self.overlay.routed_store(origin, _ATTR_NS, attr_key, info).hops
+            hops += self.overlay.routed_store(origin, _VALUE_NS, value_key, info).hops
             self.metrics.record("register.hops", hops)
         if self.hot_replicator is not None:
             self.hot_replicator.on_register(info, attr_keys[0])
@@ -68,11 +68,11 @@ class MaanService(ChordBackedService):
     def deregister(self, info: ResourceInfo) -> int:
         """Withdraw all stored copies (attribute map roots and value map)."""
         removed = sum(
-            self.ring.discard(_ATTR_NS, attr_key, info)
+            self.overlay.discard(_ATTR_NS, attr_key, info)
             for attr_key in self.attr_store_keys(info.attribute)
         )
         value_key = self.value_hash(info.attribute)(info.value)
-        removed += self.ring.discard(_VALUE_NS, value_key, info)
+        removed += self.overlay.discard(_VALUE_NS, value_key, info)
         return removed
 
     # ------------------------------------------------------------------
@@ -89,10 +89,10 @@ class MaanService(ChordBackedService):
         # Lookup 1: the attribute root (checks its directory) — under a
         # mitigation, the requester's stable salted root or hot replica.
         attr_route, _, _ = self.attr_read_target(q.attribute, q.requester, _ATTR_NS)
-        attr_lookup = self.ring.lookup(start, attr_route)
+        attr_lookup = self.overlay.lookup(start, attr_route)
         if not attr_lookup.complete:
             return self._failed_result(attr_lookup)
-        self.ring.network.count_directory_check(1)
+        self.overlay.network.count_directory_check(1)
         stats = self.load_stats
         if stats is not None:
             stats.record_serve(attr_lookup.owner.uid, q.attribute)
@@ -101,7 +101,7 @@ class MaanService(ChordBackedService):
         if not q.is_range:
             # Lookup 2: the value root answers the point query.
             value_key = vh(constraint.low)
-            value_lookup = self.ring.lookup(start, value_key)
+            value_lookup = self.overlay.lookup(start, value_key)
             hops = attr_lookup.hops + value_lookup.hops
             retries = attr_lookup.retries + value_lookup.retries
             if not value_lookup.complete:
@@ -116,7 +116,7 @@ class MaanService(ChordBackedService):
                 for info in value_lookup.owner.items_at(_VALUE_NS, value_key)
                 if info.attribute == q.attribute and constraint.matches(info.value)
             )
-            self.ring.network.count_directory_check(1)
+            self.overlay.network.count_directory_check(1)
             if stats is not None:
                 stats.record_serve(value_lookup.owner.uid, q.attribute)
                 stats.record_route_path(value_lookup.path)
@@ -128,7 +128,7 @@ class MaanService(ChordBackedService):
         # Lookup 2 + walk: value roots across the queried arc.
         low, high = constraint.bounds_within(spec.lo, spec.hi)
         k1, k2 = vh.hash_range(low, high)
-        value_lookup = self.ring.lookup(start, k1)
+        value_lookup = self.overlay.lookup(start, k1)
         if not value_lookup.complete:
             hops = attr_lookup.hops + value_lookup.hops
             self._record(hops, 1)
@@ -138,7 +138,7 @@ class MaanService(ChordBackedService):
                 retries=attr_lookup.retries + value_lookup.retries,
                 timed_out=value_lookup.timed_out,
             )
-        walk = self.ring.walk_arc(value_lookup.owner, k1, k2)
+        walk = self.overlay.walk_arc(value_lookup.owner, k1, k2)
         matches: tuple = ()
         if self.collect_matches:
             matches = tuple(
@@ -149,8 +149,8 @@ class MaanService(ChordBackedService):
             )
         hops = attr_lookup.hops + value_lookup.hops + (len(walk) - 1)
         visited = 1 + len(walk)  # attribute root + every walked value node
-        self.ring.network.count_hop(len(walk) - 1)
-        self.ring.network.count_directory_check(len(walk))
+        self.overlay.network.count_hop(len(walk) - 1)
+        self.overlay.network.count_directory_check(len(walk))
         if stats is not None:
             stats.record_serves((node.uid for node in walk), q.attribute)
             stats.record_route_path(value_lookup.path)
@@ -161,6 +161,3 @@ class MaanService(ChordBackedService):
             retries=attr_lookup.retries + value_lookup.retries + walk.retries,
             timed_out=walk.timed_out,
         )
-
-    def _record(self, hops: int, visited: int) -> None:
-        self.metrics.record_pair("query.hops", hops, "query.visited", visited)

@@ -45,16 +45,16 @@ class MercuryService(ChordBackedService):
         key = self.value_hash(info.attribute)(info.value)
         namespace = self._hub(info.attribute)
         if not routed:
-            self.ring.store(namespace, key, info)
+            self.overlay.store(namespace, key, info)
             return 0
-        result = self.ring.routed_store(self.random_node(), namespace, key, info)
+        result = self.overlay.routed_store(self.random_node(), namespace, key, info)
         self.metrics.record("register.hops", result.hops)
         return result.hops
 
     def deregister(self, info: ResourceInfo) -> int:
         """Withdraw the info from its hub (owner and replicas)."""
         key = self.value_hash(info.attribute)(info.value)
-        return self.ring.discard(self._hub(info.attribute), key, info)
+        return self.overlay.discard(self._hub(info.attribute), key, info)
 
     # ------------------------------------------------------------------
     # Queries
@@ -69,7 +69,7 @@ class MercuryService(ChordBackedService):
 
         if not q.is_range:
             key = vh(constraint.low)  # point: low == high
-            lookup = self.ring.lookup(start, key)
+            lookup = self.overlay.lookup(start, key)
             if not lookup.complete:
                 return self._failed_result(lookup)
             matches = tuple(
@@ -77,7 +77,7 @@ class MercuryService(ChordBackedService):
                 for info in lookup.owner.items_at(namespace, key)
                 if constraint.matches(info.value)
             )
-            self.ring.network.count_directory_check(1)
+            self.overlay.network.count_directory_check(1)
             if self.load_stats is not None:
                 self.load_stats.record_serve(lookup.owner.uid, q.attribute)
                 self.load_stats.record_route_path(lookup.path)
@@ -89,10 +89,10 @@ class MercuryService(ChordBackedService):
 
         low, high = constraint.bounds_within(spec.lo, spec.hi)
         k1, k2 = vh.hash_range(low, high)
-        lookup = self.ring.lookup(start, k1)
+        lookup = self.overlay.lookup(start, k1)
         if not lookup.complete:
             return self._failed_result(lookup)
-        walk = self.ring.walk_arc(lookup.owner, k1, k2)
+        walk = self.overlay.walk_arc(lookup.owner, k1, k2)
         matches: tuple = ()
         if self.collect_matches:
             matches = tuple(
@@ -102,8 +102,8 @@ class MercuryService(ChordBackedService):
                 if constraint.matches(info.value)
             )
         hops = lookup.hops + (len(walk) - 1)
-        self.ring.network.count_hop(len(walk) - 1)
-        self.ring.network.count_directory_check(len(walk))
+        self.overlay.network.count_hop(len(walk) - 1)
+        self.overlay.network.count_directory_check(len(walk))
         if self.load_stats is not None:
             self.load_stats.record_serves((node.uid for node in walk), q.attribute)
             self.load_stats.record_route_path(lookup.path)
@@ -115,16 +115,13 @@ class MercuryService(ChordBackedService):
             timed_out=walk.timed_out,
         )
 
-    def _record(self, hops: int, visited: int) -> None:
-        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
-
     # ------------------------------------------------------------------
     # Structure metrics
     # ------------------------------------------------------------------
     def outlink_counts(self) -> list[int]:
         """Each node maintains a routing table in *every* hub (m of them)."""
         num_hubs = len(self.schema)
-        return [num_hubs * links for links in self.ring.outlink_counts()]
+        return [num_hubs * links for links in self.overlay.outlink_counts()]
 
     def maintenance_scale(self) -> int:
         """Structural maintenance multiplier (one full DHT per attribute)."""

@@ -82,12 +82,12 @@ class PointerMercuryService(MercuryService):
 
         hops = 0
         if routed:
-            result = self.ring.routed_store(
+            result = self.overlay.routed_store(
                 self.random_node(), self._hub(home.attribute), home_key, envelope
             )
             hops += result.hops
         else:
-            self.ring.store(self._hub(home.attribute), home_key, envelope)
+            self.overlay.store(self._hub(home.attribute), home_key, envelope)
 
         for info in infos[1:]:
             key = self.value_hash(info.attribute)(info.value)
@@ -98,12 +98,12 @@ class PointerMercuryService(MercuryService):
                 home_key=home_key,
             )
             if routed:
-                result = self.ring.routed_store(
+                result = self.overlay.routed_store(
                     self.random_node(), self._hub(info.attribute), key, pointer
                 )
                 hops += result.hops
             else:
-                self.ring.store(self._hub(info.attribute), key, pointer)
+                self.overlay.store(self._hub(info.attribute), key, pointer)
         if routed:
             self.metrics.record("register.hops", hops)
         return hops
@@ -118,7 +118,7 @@ class PointerMercuryService(MercuryService):
         home = infos[0]
         home_key = self.value_hash(home.attribute)(home.value)
         envelope = RecordEnvelope(provider=home.provider, infos=tuple(infos))
-        removed = self.ring.discard(self._hub(home.attribute), home_key, envelope)
+        removed = self.overlay.discard(self._hub(home.attribute), home_key, envelope)
         for info in infos[1:]:
             key = self.value_hash(info.attribute)(info.value)
             pointer = RecordPointer(
@@ -127,7 +127,7 @@ class PointerMercuryService(MercuryService):
                 home_attribute=home.attribute,
                 home_key=home_key,
             )
-            removed += self.ring.discard(self._hub(info.attribute), key, pointer)
+            removed += self.overlay.discard(self._hub(info.attribute), key, pointer)
         return removed
 
     def deregister(self, info: ResourceInfo) -> int:
@@ -153,13 +153,13 @@ class PointerMercuryService(MercuryService):
 
         low, high = constraint.bounds_within(spec.lo, spec.hi)
         k1, k2 = vh.hash_range(low, high)
-        lookup = self.ring.lookup(start, k1)
+        lookup = self.overlay.lookup(start, k1)
         if not lookup.complete:
             return self._failed_result(lookup)
         walk = (
             [lookup.owner]
             if not q.is_range
-            else self.ring.walk_arc(lookup.owner, k1, k2)
+            else self.overlay.walk_arc(lookup.owner, k1, k2)
         )
 
         matches: list[ResourceInfo] = []
@@ -179,7 +179,7 @@ class PointerMercuryService(MercuryService):
                 elif isinstance(item, RecordPointer):
                     if not constraint.matches(item.local_value):
                         continue
-                    chased = self.ring.lookup(start, item.home_key)
+                    chased = self.overlay.lookup(start, item.home_key)
                     chase_hops += chased.hops
                     chase_retries += chased.retries
                     if not chased.complete:
@@ -202,8 +202,8 @@ class PointerMercuryService(MercuryService):
         hops = lookup.hops + (len(walk) - 1) + chase_hops
         walk_truncated = getattr(walk, "truncated", False)
         walk_retries = getattr(walk, "retries", 0)
-        self.ring.network.count_hop(len(walk) - 1)
-        self.ring.network.count_directory_check(len(walk))
+        self.overlay.network.count_hop(len(walk) - 1)
+        self.overlay.network.count_directory_check(len(walk))
         self._record(hops, len(walk))
         return QueryResult(
             matches=tuple(matches), hops=hops, visited_nodes=len(walk),
@@ -220,7 +220,7 @@ class PointerMercuryService(MercuryService):
         versus m value-indexed copies in plain Mercury)."""
         return sum(
             1
-            for node in self.ring.nodes()
+            for node in self.overlay.nodes()
             for _, _, item in node.stored_entries()
             if isinstance(item, RecordEnvelope)
         )
@@ -229,7 +229,7 @@ class PointerMercuryService(MercuryService):
         """Lightweight pointers stored system-wide."""
         return sum(
             1
-            for node in self.ring.nodes()
+            for node in self.overlay.nodes()
             for _, _, item in node.stored_entries()
             if isinstance(item, RecordPointer)
         )

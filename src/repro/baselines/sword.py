@@ -40,13 +40,13 @@ class SwordService(ChordBackedService):
         keys = self.attr_store_keys(info.attribute)
         if not routed:
             for key in keys:
-                self.ring.store(_NAMESPACE, key, info)
+                self.overlay.store(_NAMESPACE, key, info)
             hops = 0
         else:
             origin = self.random_node()
             hops = 0
             for key in keys:
-                hops += self.ring.routed_store(origin, _NAMESPACE, key, info).hops
+                hops += self.overlay.routed_store(origin, _NAMESPACE, key, info).hops
             self.metrics.record("register.hops", hops)
         if self.hot_replicator is not None:
             self.hot_replicator.on_register(info, keys[0])
@@ -55,7 +55,7 @@ class SwordService(ChordBackedService):
     def deregister(self, info: ResourceInfo) -> int:
         """Withdraw the info from the attribute root(s)."""
         return sum(
-            self.ring.discard(_NAMESPACE, key, info)
+            self.overlay.discard(_NAMESPACE, key, info)
             for key in self.attr_store_keys(info.attribute)
         )
 
@@ -70,7 +70,7 @@ class SwordService(ChordBackedService):
         route_key, dir_ns, dir_key = self.attr_read_target(
             q.attribute, q.requester, _NAMESPACE
         )
-        lookup = self.ring.lookup(start, route_key)
+        lookup = self.overlay.lookup(start, route_key)
         if not lookup.complete:
             return self._failed_result(lookup)
         matches = tuple(
@@ -78,7 +78,7 @@ class SwordService(ChordBackedService):
             for info in lookup.owner.items_at(dir_ns, dir_key)
             if info.attribute == q.attribute and constraint.matches(info.value)
         )
-        self.ring.network.count_directory_check(1)
+        self.overlay.network.count_directory_check(1)
         if self.load_stats is not None:
             self.load_stats.record_serve(lookup.owner.uid, q.attribute)
             self.load_stats.record_route_path(lookup.path)

@@ -538,6 +538,14 @@ def _config_from(
         parser.error(str(exc))
 
 
+def _check_args(parser: argparse.ArgumentParser, *checks: tuple[bool, str]) -> None:
+    """``parser.error`` (exit 2) on the first failed ``(ok, message)``
+    check — flag validation for the commands that build no config."""
+    for ok, message in checks:
+        if not ok:
+            parser.error(message)
+
+
 def _resolved(parser: argparse.ArgumentParser, resolve, names):
     """``resolve(names)`` from the system/overlay registry, or a clean
     ``parser.error`` (exit 2, valid choices listed) instead of a traceback."""
@@ -698,6 +706,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.smoke:
             args.scale = "smoke"
+        _check_args(parser, (
+            args.repeats is None or args.repeats >= 1,
+            f"--repeats must be >= 1, got {args.repeats}",
+        ))
         config = _config_from(parser, args)
         started = time.perf_counter()
         bench_report = run_bench(
@@ -724,15 +736,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "trace":
         from repro.experiments.common import resolve_overlay
         from repro.obs.export import render_tree, traces_to_chrome, traces_to_jsonl
-        from repro.obs.replay import replay_queries
+        from repro.obs.replay import TRACE_CONFIG, replay_queries
         from repro.workloads.generator import QueryKind
 
         overlay = (
             _resolved(parser, resolve_overlay, args.overlay)
             if args.overlay is not None else None
         )
-        if not 0.0 <= args.loss < 1.0:
-            parser.error(f"--loss must be in [0, 1), got {args.loss:g}")
+        max_attributes = TRACE_CONFIG.num_attributes
+        _check_args(
+            parser,
+            (args.seed >= 0, f"--seed must be >= 0, got {args.seed}"),
+            (args.queries >= 1, f"--queries must be >= 1, got {args.queries}"),
+            (
+                1 <= args.attributes <= max_attributes,
+                f"--attributes must be in [1, {max_attributes}], got {args.attributes}",
+            ),
+            (args.fanout >= 1, f"--fanout must be >= 1, got {args.fanout}"),
+            (0.0 <= args.loss < 1.0, f"--loss must be in [0, 1), got {args.loss:g}"),
+        )
         started = time.perf_counter()
         _, traces = replay_queries(
             args.system,
@@ -782,6 +804,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             ALL_SYSTEMS
             if "all" in args.systems
             else _resolved(parser, resolve_systems, args.systems)
+        )
+        _check_args(
+            parser,
+            (args.seed >= 0, f"--seed must be >= 0, got {args.seed}"),
+            (args.queries >= 1, f"--queries must be >= 1, got {args.queries}"),
+            (
+                args.churn_events >= 0,
+                f"--churn-events must be >= 0, got {args.churn_events}",
+            ),
         )
         started = time.perf_counter()
         report = run_check(

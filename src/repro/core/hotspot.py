@@ -162,7 +162,7 @@ class DynamicReplicator:
         is charged as one maintenance message.  Replicas of attributes
         that decayed out of the desired set are dropped.
         """
-        ring = self.service.ring
+        ring = self.service.overlay
         cap = budget.repair_keys
         sent = 0
         created = 0
@@ -199,7 +199,7 @@ class DynamicReplicator:
         return {"copies": sent, "created": created, "dropped": dropped}
 
     def _drop_decayed(self) -> int:
-        ring = self.service.ring
+        ring = self.service.overlay
         dropped = 0
         for attr in list(self._replicas.keys() - self._desired):
             key = self.service.attr_key(attr)
@@ -228,7 +228,7 @@ class DynamicReplicator:
         placed = self._replicas.get(attribute)
         if not placed:
             return []
-        ring = self.service.ring
+        ring = self.service.overlay
         return [nid for nid in placed if nid in ring.node_ids]
 
     def route_for(self, attribute: str, requester: str) -> int | None:
@@ -247,7 +247,7 @@ class DynamicReplicator:
         holders = self.holders(info.attribute)
         if not holders:
             return
-        ring = self.service.ring
+        ring = self.service.overlay
         for node_id in holders:
             ring.node(node_id).store(self.replica_namespace, key, info)
         ring.network.count_maintenance(len(holders))

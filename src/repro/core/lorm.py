@@ -22,15 +22,9 @@ from __future__ import annotations
 
 from typing import Any, ClassVar
 
-import numpy as np
-
 from repro.baselines.base import DiscoveryService
 from repro.core.resource import Query, QueryResult, ResourceInfo
-from repro.hashing.consistent import ConsistentHash
-from repro.hashing.locality import LocalityPreservingHash
-from repro.hashing.spread import spread_attribute_ids
-from repro.overlay.cycloid import CycloidId, CycloidNode, CycloidOverlay
-from repro.sim.metrics import MetricsRegistry
+from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.utils.seeding import SeedFactory
 from repro.workloads.attributes import AttributeSchema
 
@@ -76,33 +70,22 @@ class LormService(DiscoveryService):
         attr_placement: str = "spread",
         dimension: int | None = None,
     ) -> None:
-        self.overlay = overlay
         #: Flat mode: the substrate is a Chord-family ring, not Cycloid —
         #: resource IDs are linearized onto the ring (see class docstring).
-        self._flat = not hasattr(overlay, "walk_cluster")
+        self._flat = not isinstance(overlay, CycloidOverlay)
         if self._flat:
             if dimension is None:
                 raise ValueError("flat-substrate LORM needs an explicit dimension")
             self.dimension = dimension
         else:
             self.dimension = overlay.dimension
-        self.schema = schema
-        self.lph_kind = lph_kind
-        #: See ChordBackedService.collect_matches — same accounting-only mode.
-        self.collect_matches = True
-        self.metrics = MetricsRegistry()
-        self._seeds = SeedFactory(seed).fork("service:LORM")
-        self._rng: np.random.Generator = self._seeds.numpy("queries")
-        self._churn_rng: np.random.Generator = self._seeds.numpy("churn")
-        #: H — consistent hash of attribute names onto the 2**d clusters.
-        self.attr_hash = ConsistentHash(bits=self.dimension)
-        #: "spread" assigns each attribute its own cluster (the paper's
-        #: "each cluster is responsible for one attribute" model; requires
-        #: m <= 2**d); "hash" is plain consistent hashing with collisions.
-        self.attr_placement = attr_placement
-        self._attr_ids: dict[str, int] | None = None
-        self._value_hashes: dict[str, LocalityPreservingHash] = {}
-        self._departed: list[CycloidId] = []
+        # H maps attribute names onto the 2**d clusters ("spread" gives each
+        # attribute its own cluster, the paper's model; requires m <= 2**d),
+        # ℋ maps values onto the cyclic-index space [0, d).
+        super().__init__(
+            overlay, schema, seed=seed, lph_kind=lph_kind, attr_placement=attr_placement,
+            attr_bits=self.dimension, value_space=self.dimension,
+        )
 
     @classmethod
     def build_full(
@@ -158,47 +141,18 @@ class LormService(DiscoveryService):
     # ------------------------------------------------------------------
     # ID mapping
     # ------------------------------------------------------------------
-    def value_hash(self, attribute: str) -> LocalityPreservingHash:
-        """ℋ for ``attribute`` — onto the cyclic-index space ``[0, d)``."""
-        vh = self._value_hashes.get(attribute)
-        if vh is None:
-            vh = self.schema.spec(attribute).value_hash(
-                size=self.dimension, kind=self.lph_kind
-            )
-            self._value_hashes[attribute] = vh
-        return vh
-
-    def attr_key(self, attribute: str) -> int:
-        """The cubical (cluster) index of ``attribute``."""
-        if self.attr_placement == "hash":
-            return self.attr_hash(attribute)
-        if self._attr_ids is None:
-            self._attr_ids = spread_attribute_ids(self.schema.names, self.attr_hash)
-        try:
-            return self._attr_ids[attribute]
-        except KeyError:
-            raise KeyError(
-                f"attribute {attribute!r} is not in the globally-known schema "
-                f"({len(self.schema)} attributes)"
-            ) from None
-
     def resc_id(self, attribute: str, value: float) -> CycloidId:
         """``rescID = (ℋ(value), H(attribute))`` (Section III)."""
         return CycloidId(self.value_hash(attribute)(value), self.attr_key(attribute))
 
-    def _store_key(self, attribute: str, value: float) -> Any:
-        """The substrate-native storage key for ``(attribute, value)``.
-
-        Native Cycloid uses the two-level rescID; a flat ring gets the
-        same ID linearized the way Cycloid itself would
-        (``cluster * d + cyclic``), so each attribute owns a contiguous
-        arc of ``d`` ring IDs.
+    def _store_key(self, attribute: str, value: float) -> int:
+        """The storage key id of ``(attribute, value)``: the rescID
+        linearized the way Cycloid stores it (``cluster * d + cyclic``),
+        so on a flat ring each attribute owns a contiguous arc of ``d``
+        ring IDs.
         """
         cyclic = self.value_hash(attribute)(value)
-        cluster = self.attr_key(attribute)
-        if self._flat:
-            return cluster * self.dimension + cyclic
-        return CycloidId(cyclic, cluster)
+        return self.attr_key(attribute) * self.dimension + cyclic
 
     # ------------------------------------------------------------------
     # Registration
@@ -230,13 +184,8 @@ class LormService(DiscoveryService):
         cluster = self.attr_key(q.attribute)
 
         if not q.is_range:
-            if self._flat:
-                key = cluster * self.dimension + vh(constraint.low)
-                stored_at = key
-            else:
-                key = CycloidId(vh(constraint.low), cluster)
-                stored_at = self.overlay.linearize(key)
-            lookup = self.overlay.lookup(start, key)
+            stored_at = cluster * self.dimension + vh(constraint.low)
+            lookup = self.overlay.lookup(start, self.overlay.routing_key(stored_at))
             if not lookup.complete:
                 return self._failed_result(lookup)
             matches = tuple(
@@ -256,19 +205,15 @@ class LormService(DiscoveryService):
 
         low, high = constraint.bounds_within(spec.lo, spec.hi)
         k1, k2 = vh.hash_range(low, high)
+        key1 = cluster * self.dimension + k1
+        lookup = self.overlay.lookup(start, self.overlay.routing_key(key1))
+        if not lookup.complete:
+            return self._failed_result(lookup)
         if self._flat:
             # The attribute's cyclic range is a contiguous ring arc under
             # the linearized ID — a successor walk covers it completely.
-            key1 = cluster * self.dimension + k1
-            key2 = cluster * self.dimension + k2
-            lookup = self.overlay.lookup(start, key1)
-            if not lookup.complete:
-                return self._failed_result(lookup)
-            walk = self.overlay.walk_arc(lookup.owner, key1, key2)
+            walk = self.overlay.walk_arc(lookup.owner, key1, cluster * self.dimension + k2)
         else:
-            lookup = self.overlay.lookup(start, CycloidId(k1, cluster))
-            if not lookup.complete:
-                return self._failed_result(lookup)
             walk = self.overlay.walk_cluster(lookup.owner, k1, k2)
         matches: tuple = ()
         if self.collect_matches:
@@ -292,33 +237,9 @@ class LormService(DiscoveryService):
             timed_out=walk.timed_out,
         )
 
-    def _failed_result(self, lookup: Any) -> QueryResult:
-        """A lookup that never reached an owner: honest empty partial."""
-        self._record(lookup.hops, 0)
-        return QueryResult(
-            matches=(), hops=lookup.hops, visited_nodes=0,
-            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
-        )
-
-    def _record(self, hops: int, visited: int) -> None:
-        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
-
     # ------------------------------------------------------------------
     # Structure metrics
     # ------------------------------------------------------------------
-    def random_node(self) -> CycloidNode:
-        ids = self.overlay.node_ids
-        return self.overlay.node(ids[int(self._rng.integers(len(ids)))])
-
-    def directory_sizes(self) -> list[int]:
-        return self.overlay.directory_sizes()
-
-    def outlink_counts(self) -> list[int]:
-        return self.overlay.outlink_counts()
-
-    def num_nodes(self) -> int:
-        return self.overlay.num_nodes
-
     def structural_hop_bound(self) -> int:
         if self._flat:
             # Chord-family substrate: the classic halving ceiling.
@@ -333,46 +254,3 @@ class LormService(DiscoveryService):
         # cluster holds at most ``d`` nodes; the linearized arc on a flat
         # ring spans at most ``d`` IDs, so the same bound carries over.
         return self.dimension
-
-    def _resolve_start(self, start: CycloidNode | None) -> CycloidNode:
-        return start if start is not None else self.random_node()
-
-    def configure_faults(self, injector: Any, policy: Any | None = None) -> None:
-        self.overlay.network.faults = injector
-        if policy is not None:
-            self.overlay.lookup_policy = policy
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    def churn_leave(self) -> bool:
-        if self.overlay.num_nodes <= 2:
-            return False
-        ids = self.overlay.node_ids
-        victim = ids[int(self._churn_rng.integers(len(ids)))]
-        self.overlay.leave(victim)
-        self._departed.append(victim)
-        return True
-
-    def churn_join(self) -> bool:
-        if not self._departed:
-            return False
-        idx = int(self._churn_rng.integers(len(self._departed)))
-        cid = self._departed.pop(idx)
-        self.overlay.join(cid)
-        return True
-
-    def churn_fail(self) -> bool:
-        if self.overlay.num_nodes <= 2:
-            return False
-        ids = self.overlay.node_ids
-        victim = ids[int(self._churn_rng.integers(len(ids)))]
-        self.overlay.fail(victim)
-        self._departed.append(victim)
-        return True
-
-    def stabilize(self, budget: Any | None = None) -> Any:
-        if budget is None:
-            self.overlay.stabilize_all()
-            return None
-        return self.maintenance_round().run(budget)

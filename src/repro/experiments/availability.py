@@ -48,8 +48,8 @@ def measure_completeness(
     """
     if not cases:
         return 1.0
-    overlay = service.overlay if hasattr(service, "overlay") else service.ring
-    before = overlay.network.stats.snapshot()
+    network = service.overlay.network
+    before = network.stats.snapshot()
     service.configure_faults(injector, policy)
     try:
         exact = sum(
@@ -59,7 +59,7 @@ def measure_completeness(
     finally:
         service.configure_faults(None)
         publish_stats(
-            overlay.network.stats.delta_since(before), service.metrics,
+            network.stats.delta_since(before), service.metrics,
             prefix="faults",
         )
     return exact / len(cases)
@@ -75,7 +75,7 @@ def _crash_storm(bundle: ServiceBundle, config: ExperimentConfig) -> int:
     crashes = max(1, round(config.availability_crash_fraction * config.population))
     repair_every = max(1, crashes // 4)
     for service in bundle.all():
-        overlay = service.overlay if hasattr(service, "overlay") else service.ring
+        overlay = service.overlay
         for i in range(crashes):
             if not service.churn_fail():
                 break

@@ -192,6 +192,20 @@ class ExperimentConfig:
             all(h >= 1 for h in self.tradeoff_fanouts),
             f"tradeoff_fanouts must each be >= 1, got {self.tradeoff_fanouts}",
         )
+        require(
+            len(self.loss_rates) > 0 and all(0.0 <= r < 1.0 for r in self.loss_rates),
+            f"loss_rates must be non-empty with every rate in [0, 1), got {self.loss_rates}",
+        )
+        require(
+            len(self.availability_replications) > 0
+            and all(r >= 1 for r in self.availability_replications),
+            "availability_replications must be non-empty with every factor >= 1, "
+            f"got {self.availability_replications}",
+        )
+        require(
+            self.num_availability_queries >= 1,
+            f"num_availability_queries must be >= 1, got {self.num_availability_queries}",
+        )
 
     # ------------------------------------------------------------------
     # Derived quantities

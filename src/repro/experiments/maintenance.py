@@ -40,9 +40,7 @@ def maintenance_trial(config: ExperimentConfig, rate: float) -> dict[str, float]
     seeds = SeedFactory(config.seed).fork(f"maintenance:{rate}")
     out: dict[str, float] = {}
     for service in bundle.all():
-        network = (
-            service.overlay.network if service.name == "LORM" else service.ring.network
-        )
+        network = service.overlay.network
         before = network.stats.maintenance_messages
         sim = Simulator()
         churn = ChurnProcess(rate=rate, rng=seeds.numpy(f"churn:{service.name}"))
@@ -55,8 +53,7 @@ def maintenance_trial(config: ExperimentConfig, rate: float) -> dict[str, float]
             t += _STABILIZE_PERIOD
         sim.run()
         messages = network.stats.maintenance_messages - before
-        scale = service.maintenance_scale() if hasattr(service, "maintenance_scale") else 1
-        out[service.name] = scale * messages / _DURATION
+        out[service.name] = service.maintenance_scale() * messages / _DURATION
     return out
 
 

@@ -7,6 +7,7 @@ implementations: routed lookups with hop accounting, key storage, node
 join/leave with key transfer, and routing-state repair under churn.
 """
 
+from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordNode, ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidNode, CycloidOverlay
 from repro.overlay.idspace import IdSpace
@@ -20,6 +21,7 @@ __all__ = [
     "CycloidOverlay",
     "IdSpace",
     "LookupResult",
+    "Overlay",
     "OverlayNode",
     "WalkResult",
 ]

@@ -31,16 +31,11 @@ from collections.abc import Iterable
 from typing import Any
 
 from repro.overlay.arraystore import RingVector
+from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace
 from repro.overlay.node import LookupResult, OverlayNode, WalkResult, trace_fault_step
-from repro.sim.durability import (
-    DurabilityPolicy,
-    SuccessorPlacement,
-    decodable_level,
-    successor_replication,
-)
-from repro.sim.faults import DEFAULT_POLICY, LookupPolicy, deliver_first
-from repro.sim.maintenance import RepairProgress, repair_buckets
+from repro.sim.durability import DurabilityPolicy
+from repro.sim.faults import LookupPolicy, deliver_first
 from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
@@ -91,7 +86,7 @@ class ChordNode(OverlayNode):
         return links
 
 
-class ChordRing:
+class ChordRing(Overlay):
     """A simulated Chord overlay.
 
     Parameters
@@ -115,6 +110,8 @@ class ChordRing:
     9
     """
 
+    kind = "chord"
+
     def __init__(
         self,
         bits: int,
@@ -126,29 +123,8 @@ class ChordRing:
     ) -> None:
         require(successor_list_len >= 1, "successor_list_len must be >= 1")
         self.space = IdSpace(bits)
-        self.network = network if network is not None else SimulatedNetwork()
         self.successor_list_len = successor_list_len
-        #: The durability policy governing where a key's copies/fragments
-        #: live and when a piece still decodes.  The default —
-        #: successor-list replication at ``replication`` copies — is
-        #: byte-identical to the pre-policy hard-coded scheme: the owner
-        #: plus ``replication - 1`` successors, any surviving copy readable.
-        self.durability = (
-            durability if durability is not None else successor_replication(replication)
-        )
-        #: Copies (fragments) kept per key.  With the default policy at 1
-        #: behaviour matches the paper exactly; higher values make data
-        #: survive *crash* failures (see :meth:`fail`).
-        self.replication = self.durability.fragments
-        self.durability.validate(self)
-        #: Hot-path flag: the seed's successor placement short-circuits
-        #: the policy dispatch in :meth:`replica_set` (store and lookup
-        #: fall-back call it per key, so the indirection is measurable).
-        self._native_placement = type(self.durability.placement) is SuccessorPlacement
-        #: Requester behaviour under injected faults (retries, timeouts,
-        #: failover).  Irrelevant — and never consulted — while the network
-        #: has no active fault injector.
-        self.lookup_policy: LookupPolicy = DEFAULT_POLICY
+        super().__init__(network, replication, durability)
         self._nodes: dict[int, ChordNode] = {}
         #: The flat array-backed membership core (``repro.overlay.
         #: arraystore``); the node objects and their routing pointers are
@@ -167,10 +143,6 @@ class ChordRing:
         self.routing_cache = routing_cache
         self._succ_cache: dict[int, ChordNode] = {}
         self._cpf_cache: dict[int, list[ChordNode]] = {}
-        #: Optional hop-level span tracer (:class:`repro.obs.spans.
-        #: QueryTracer`).  ``None`` (the default) keeps the routing hot
-        #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
-        self.tracer: Any | None = None
 
     def invalidate_routing_caches(self) -> None:
         """Drop all derived-routing caches (membership or liveness changed).
@@ -210,7 +182,8 @@ class ChordRing:
 
     def build(self, node_ids: Iterable[int]) -> None:
         """Construct a stabilized ring over ``node_ids`` in one shot."""
-        ids = sorted(set(self.space.wrap(i) for i in node_ids))
+        # Plain ints: node ids double as storage key ids and churn victims.
+        ids = sorted(set(self.space.wrap(int(i)) for i in node_ids))
         require(bool(ids), "cannot build an empty ring")
         self._nodes = {i: ChordNode(i, self.bits) for i in ids}
         self._sorted_ids = RingVector(ids, max_id=self.space.size - 1)
@@ -263,6 +236,28 @@ class ChordRing:
             result.append(self._nodes[ids[(idx + offset) % n]])
         return result
 
+    # ------------------------------------------------------------------
+    # Storage key contract (ring ids are storage key ids)
+    # ------------------------------------------------------------------
+    @property
+    def key_space_size(self) -> int:
+        return self.space.size
+
+    def owner_of(self, key_id: int) -> ChordNode:
+        return self.successor_of(key_id)
+
+    def key_id_of(self, node: ChordNode) -> int:
+        return node.node_id
+
+    def routing_key(self, key_id: int) -> int:
+        return key_id
+
+    def native_holders(self, key_id: int, count: int) -> list[ChordNode]:
+        """``count`` distinct live nodes clockwise from ``key_id`` — the
+        successor-list holders :class:`~repro.sim.durability.
+        SuccessorPlacement` delegates to."""
+        return self._successors_from(key_id, count)
+
     def _refresh_routing_state(self, node: ChordNode) -> None:
         """Point ``node``'s fingers/successors/predecessor at true targets."""
         self._refresh_fingers(node)
@@ -312,11 +307,6 @@ class ChordRing:
     # ------------------------------------------------------------------
     # Routed lookup
     # ------------------------------------------------------------------
-    @property
-    def faults_active(self) -> bool:
-        """Whether the shared network currently injects faults."""
-        return self.network.faults_active
-
     def lookup(
         self, start: ChordNode, key: int, policy: LookupPolicy | None = None
     ) -> LookupResult:
@@ -366,36 +356,6 @@ class ChordRing:
             path.append(cur.node_id)
             self.network.count_hop()
         return LookupResult(owner=cur, hops=hops, path=tuple(path))
-
-    def _lookup_traced(
-        self, start: ChordNode, key: int, policy: LookupPolicy | None
-    ) -> LookupResult:
-        """Route with span tracing: identical result, plus one LOOKUP span
-        with per-hop child spans.
-
-        Fault-free routes are traced *post hoc* from the result path (the
-        hot loop stays branch-free); the fault path emits hops and
-        drop/retry/failover/timeout annotations live as they happen.
-        """
-        tracer = self.tracer
-        with tracer.span("lookup", "chord.lookup", origin=start.node_id, key=key) as span:
-            if self.faults_active:
-                result = self._lookup_faulty(
-                    start, key, policy or self.lookup_policy, tracer=tracer
-                )
-            else:
-                result = self._lookup_plain(start, key)
-                prev = start
-                for nid in result.path[1:]:
-                    node = self._nodes[nid]
-                    tracer.hop(prev.node_id, nid, self.edge_kind(prev, node))
-                    prev = node
-            span.attrs.update(
-                owner=result.owner.node_id, hops=result.hops,
-                complete=result.complete, retries=result.retries,
-                timed_out=result.timed_out,
-            )
-        return result
 
     def edge_kind(self, src: ChordNode, dst: ChordNode) -> str:
         """Which routing-table entry of ``src`` reaches ``dst``.
@@ -606,29 +566,10 @@ class ChordRing:
         in a WALK span whose hop children are the successor steps."""
         if self.tracer is None:
             return self._walk_arc_impl(start, from_key, until_key, policy)
-        tracer = self.tracer
-        with tracer.span(
-            "walk", "chord.walk",
-            origin=start.node_id,
-            from_key=self.space.wrap(from_key),
-            until_key=self.space.wrap(until_key),
-        ) as span:
-            result = self._walk_arc_impl(start, from_key, until_key, policy)
-            prev = result[0]
-            for node in result[1:]:
-                tracer.hop(prev.node_id, node.node_id, "successor")
-                prev = node
-            for _ in range(result.retries):
-                tracer.event("retry")
-            if result.truncated:
-                tracer.event("truncated", reason=result.reason)
-            if result.timed_out:
-                tracer.event("timeout")
-            span.attrs.update(
-                visited=len(result), truncated=result.truncated,
-                retries=result.retries,
-            )
-        return result
+        return self._walk_traced(
+            self._walk_arc_impl, start, from_key, until_key, policy,
+            from_key=self.space.wrap(from_key), until_key=self.space.wrap(until_key),
+        )
 
     def _walk_arc_impl(
         self,
@@ -718,69 +659,6 @@ class ChordRing:
         result.retries += retries
         return nxt, skipped
 
-    def _truncate_walk(self, result: WalkResult, reason: str) -> None:
-        """Flag ``result`` truncated (first reason wins) and count it."""
-        if not result.truncated:
-            result.truncated = True
-            result.reason = reason
-        self.network.count_walk_truncation()
-
-    # ------------------------------------------------------------------
-    # Key storage (routed through the overlay)
-    # ------------------------------------------------------------------
-    def native_holders(self, key_id: int, count: int) -> list[ChordNode]:
-        """``count`` distinct live nodes clockwise from ``key_id`` — the
-        successor-list holders :class:`~repro.sim.durability.
-        SuccessorPlacement` delegates to."""
-        return self._successors_from(key_id, count)
-
-    def replica_set(self, key: int) -> list[ChordNode]:
-        """The nodes that should hold ``key`` under the durability policy
-        (default: its owner plus the next ``replication - 1`` live
-        successors)."""
-        if self._native_placement:
-            return self._successors_from(key, self.replication)
-        return self.durability.holders(self, key)
-
-    def store(self, namespace: str, key: int, item: Any) -> ChordNode:
-        """Place ``item`` at the owner of ``key`` (oracle placement).
-
-        With ``replication > 1`` the owner pushes copies to its successors
-        (counted as maintenance messages).
-        """
-        key = self.space.wrap(key)
-        replicas = self.replica_set(key)
-        for holder in replicas:
-            holder.store(namespace, key, item)
-        if len(replicas) > 1:
-            self.network.count_maintenance(len(replicas) - 1)
-        return replicas[0]
-
-    def routed_store(self, start: ChordNode, namespace: str, key: int, item: Any) -> LookupResult:
-        """Insert via a routed lookup from ``start`` (counts hops)."""
-        result = self.lookup(start, key)
-        key = self.space.wrap(key)
-        result.owner.store(namespace, key, item)
-        for holder in self.replica_set(key)[1:]:
-            if holder is not result.owner:
-                holder.store(namespace, key, item)
-                self.network.count_maintenance(1)
-        return result
-
-    def discard(self, namespace: str, key: int, item: Any) -> int:
-        """Remove ``item``'s copies from the key's replica set.
-
-        Returns the number of copies removed.  Used by lease expiry
-        (``repro.core.refresh``): a provider's stale report is withdrawn
-        from the owner and every replica.
-        """
-        key = self.space.wrap(key)
-        removed = 0
-        for holder in self.replica_set(key):
-            if holder.remove_item(namespace, key, item):
-                removed += 1
-        return removed
-
     # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------
@@ -861,66 +739,6 @@ class ChordRing:
         # Neighbours detect the failure via timeouts and repair locally.
         self._repair_neighbourhood(node_id)
 
-    def repair_replication(self) -> int:
-        """Restore every key to exactly its replica set; returns copies moved.
-
-        Models the periodic replica-maintenance pass: after
-        joins/leaves/failures, each surviving piece is re-homed so every
-        member of the policy's holder set carries it (and nobody else
-        does).  Surviving per-holder counts reduce through
-        :func:`~repro.sim.durability.decodable_level` — at the default
-        decode threshold of 1 that is the seed's ``max`` merge (a node's
-        own copy count is a piece's true multiplicity; replicas mirror
-        it, so identical items stay distinct pieces without replica
-        copies multiplying back in), while an erasure policy re-homes
-        only pieces with at least ``k`` surviving fragments and *purges*
-        undecodable fragments rather than resurrecting lost data.
-        """
-        threshold = self.durability.threshold
-        surviving: dict[tuple[str, int], dict[Any, list[int]]] = {}
-        for node in list(self.nodes()):
-            held: dict[tuple[str, int], Counter] = {}
-            for namespace, key_id, item in node.stored_entries():
-                held.setdefault((namespace, key_id), Counter())[item] += 1
-            node.clear_storage()
-            for bucket_key, pieces in held.items():
-                bucket = surviving.setdefault(bucket_key, {})
-                for item, count in pieces.items():
-                    bucket.setdefault(item, []).append(count)
-        moved = 0
-        for (namespace, key_id), pieces in surviving.items():
-            replicas = self.replica_set(key_id)
-            for item, counts in pieces.items():
-                level = decodable_level(counts, threshold)
-                if level == 0:
-                    continue
-                for holder in replicas:
-                    for _ in range(level):
-                        holder.store(namespace, key_id, item)
-                    moved += level
-        if moved:
-            self.network.count_maintenance(moved)
-        return moved
-
-    def repair_replication_step(
-        self,
-        budget: int | None = None,
-        after: tuple[str, int] | None = None,
-    ) -> RepairProgress:
-        """Anti-entropy replica repair of up to ``budget`` key buckets.
-
-        Buckets are visited in sorted ``(namespace, key)`` order starting
-        strictly after ``after`` (``None`` starts from the beginning); each
-        repaired bucket ends up exactly on its replica set, like one key's
-        worth of :meth:`repair_replication`.  ``budget=None`` repairs every
-        bucket in one call.  Returns a
-        :class:`~repro.sim.maintenance.RepairProgress` whose ``next_after``
-        is the resume cursor (``None`` once the sweep wrapped).
-        """
-        return repair_buckets(
-            self, self.replica_set, budget, after, policy=self.durability
-        )
-
     def _repair_neighbourhood(self, around_id: int) -> None:
         """Refresh routing state of nodes adjacent to a membership change."""
         for neighbour in self._successors_from(around_id, self.successor_list_len + 1):
@@ -930,23 +748,9 @@ class ChordRing:
         self._refresh_routing_state(pred)
         self.network.count_maintenance(1)
 
-    def stabilize_all(self) -> None:
-        """Periodic stabilization: every node re-derives its routing state."""
-        for node in self._nodes.values():
-            self._refresh_routing_state(node)
-            self.network.count_maintenance(1)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def outlink_counts(self) -> list[int]:
-        """Per-node count of distinct live neighbours (Figure 3a)."""
-        return [len(node.outlinks()) for node in self.nodes()]
-
-    def directory_sizes(self, namespace: str | None = None) -> list[int]:
-        """Per-node directory sizes (Figure 3b–d)."""
-        return [node.directory_size(namespace) for node in self.nodes()]
-
     def check_ring_invariants(self) -> None:
         """Raise AssertionError unless successor/predecessor links form the
         unique ring over live nodes — used by tests and after churn storms.

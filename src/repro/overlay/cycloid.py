@@ -45,16 +45,11 @@ from collections.abc import Iterable
 from typing import Any, NamedTuple
 
 from repro.overlay.arraystore import RingVector
+from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace, closest_on_ring
 from repro.overlay.node import LookupResult, OverlayNode, WalkResult, trace_fault_step
-from repro.sim.durability import (
-    DurabilityPolicy,
-    SuccessorPlacement,
-    decodable_level,
-    successor_replication,
-)
-from repro.sim.faults import DEFAULT_POLICY, LookupPolicy, deliver_first
-from repro.sim.maintenance import RepairProgress, repair_buckets
+from repro.sim.durability import DurabilityPolicy
+from repro.sim.faults import LookupPolicy, deliver_first
 from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
@@ -125,7 +120,7 @@ class CycloidNode(OverlayNode):
         return {node.cid for node in self.table_entries()}
 
 
-class CycloidOverlay:
+class CycloidOverlay(Overlay):
     """A simulated Cycloid overlay of dimension ``d``.
 
     Examples
@@ -138,6 +133,9 @@ class CycloidOverlay:
     >>> result.owner.cid
     CycloidId(k=2, a=5)
     """
+
+    kind = "cycloid"
+    walk_edge = "inside-leaf"
 
     def __init__(
         self,
@@ -166,27 +164,9 @@ class CycloidOverlay:
         self.routing_mode = routing_mode
         self.dimension = dimension
         self.cubical_space = IdSpace(dimension)  # ring of 2**d clusters
-        self.network = network if network is not None else SimulatedNetwork()
-        #: The durability policy governing where a key's copies/fragments
-        #: live.  The default — intra-cluster successor replication at
-        #: ``replication`` copies — is byte-identical to the pre-policy
-        #: hard-coded scheme: the owner plus ``replication - 1`` cluster
-        #: successors (replicas stay inside the attribute's cluster, so
-        #: the intra-cluster range walk still sees every key).  Default 1
-        #: matches the paper; >= 2 survives crash failures (:meth:`fail`).
-        self.durability = (
-            durability if durability is not None else successor_replication(replication)
-        )
-        #: Copies (fragments) kept per key under the policy.
-        self.replication = self.durability.fragments
-        self.durability.validate(self)
-        #: Hot-path flag: the seed's successor placement short-circuits
-        #: the policy dispatch (and the linearize round-trip) in
-        #: :meth:`replica_set`.
-        self._native_placement = type(self.durability.placement) is SuccessorPlacement
-        #: Requester behaviour under injected faults; never consulted while
-        #: the network has no active fault injector.
-        self.lookup_policy: LookupPolicy = DEFAULT_POLICY
+        # Successor replicas stay inside the key's cluster, so the
+        # intra-cluster range walk still sees every key.
+        super().__init__(network, replication, durability)
         self._nodes: dict[CycloidId, CycloidNode] = {}
         #: cluster -> sorted flat vector of present cyclic indices (the
         #: array-backed membership core, ``repro.overlay.arraystore``)
@@ -201,10 +181,6 @@ class CycloidOverlay:
         #: disables memoisation (equivalence tests diff the two modes).
         self.routing_cache = routing_cache
         self._owner_cache: dict[CycloidId, CycloidNode] = {}
-        #: Optional hop-level span tracer (:class:`repro.obs.spans.
-        #: QueryTracer`).  ``None`` (the default) keeps the routing hot
-        #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
-        self.tracer: Any | None = None
 
     def invalidate_routing_caches(self) -> None:
         """Drop the owner cache (membership changed)."""
@@ -407,29 +383,9 @@ class CycloidOverlay:
         self._refresh_links(node)
         self.network.count_maintenance(1)
 
-    def repair_replication_step(
-        self,
-        budget: int | None = None,
-        after: tuple[str, int] | None = None,
-    ) -> RepairProgress:
-        """Anti-entropy replica repair of up to ``budget`` key buckets.
-
-        See :meth:`ChordRing.repair_replication_step` — identical contract;
-        keys are the linearized ``(k, a)`` storage identifiers.
-        """
-        return repair_buckets(
-            self, lambda key_id: self.replica_set(self.delinearize(key_id)),
-            budget, after, policy=self.durability,
-        )
-
     # ------------------------------------------------------------------
     # Routed lookup
     # ------------------------------------------------------------------
-    @property
-    def faults_active(self) -> bool:
-        """Whether the shared network currently injects faults."""
-        return self.network.faults_active
-
     def lookup(
         self,
         start: CycloidNode,
@@ -493,37 +449,6 @@ class CycloidOverlay:
                 f"stopped at {cur.cid} (owner {owner.cid}) after {hops} hops"
             )
         return LookupResult(owner=cur, hops=hops, path=tuple(path))
-
-    def _lookup_traced(
-        self,
-        start: CycloidNode,
-        target: CycloidId,
-        policy: LookupPolicy | None,
-    ) -> LookupResult:
-        """Route with span tracing: identical result, plus one LOOKUP span
-        with per-hop child spans (post hoc when fault-free, live with
-        drop/retry/failover annotations on the fault path)."""
-        tracer = self.tracer
-        with tracer.span(
-            "lookup", "cycloid.lookup", origin=start.cid, key=target
-        ) as span:
-            if self.faults_active:
-                result = self._lookup_faulty(
-                    start, target, policy or self.lookup_policy, tracer=tracer
-                )
-            else:
-                result = self._lookup_plain(start, target)
-                prev = start
-                for cid in result.path[1:]:
-                    node = self._nodes[cid]
-                    tracer.hop(prev.cid, cid, self.edge_kind(prev, node))
-                    prev = node
-            span.attrs.update(
-                owner=result.owner.cid, hops=result.hops,
-                complete=result.complete, retries=result.retries,
-                timed_out=result.timed_out,
-            )
-        return result
 
     def edge_kind(self, src: CycloidNode, dst: CycloidNode) -> str:
         """Which routing-table entry of ``src`` reaches ``dst``.
@@ -747,29 +672,10 @@ class CycloidOverlay:
         wrapped in a WALK span whose hop children are the leaf steps."""
         if self.tracer is None:
             return self._walk_cluster_impl(start, k_from, k_to, policy)
-        tracer = self.tracer
-        with tracer.span(
-            "walk", "cycloid.walk",
-            origin=start.cid,
-            k_from=k_from % self.dimension,
-            k_to=k_to % self.dimension,
-        ) as span:
-            result = self._walk_cluster_impl(start, k_from, k_to, policy)
-            prev = result[0]
-            for node in result[1:]:
-                tracer.hop(prev.cid, node.cid, "inside-leaf")
-                prev = node
-            for _ in range(result.retries):
-                tracer.event("retry")
-            if result.truncated:
-                tracer.event("truncated", reason=result.reason)
-            if result.timed_out:
-                tracer.event("timeout")
-            span.attrs.update(
-                visited=len(result), truncated=result.truncated,
-                retries=result.retries,
-            )
-        return result
+        return self._walk_traced(
+            self._walk_cluster_impl, start, k_from, k_to, policy,
+            k_from=k_from % self.dimension, k_to=k_to % self.dimension,
+        )
 
     def _walk_cluster_impl(
         self,
@@ -839,75 +745,31 @@ class CycloidOverlay:
             result.append(cur)
         return result
 
-    def _truncate_walk(self, result: WalkResult, reason: str) -> None:
-        """Flag ``result`` truncated (first reason wins) and count it."""
-        if not result.truncated:
-            result.truncated = True
-            result.reason = reason
-        self.network.count_walk_truncation()
+    # ------------------------------------------------------------------
+    # Storage key contract (``(k, a)`` linearized to ``a * d + k``)
+    # ------------------------------------------------------------------
+    @property
+    def key_space_size(self) -> int:
+        return self.capacity
 
-    # ------------------------------------------------------------------
-    # Key storage
-    # ------------------------------------------------------------------
+    def owner_of(self, key_id: int) -> CycloidNode:
+        return self.closest_node(self.delinearize(key_id))
+
+    def key_id_of(self, node: CycloidNode) -> int:
+        return self.linearize(node.cid)
+
+    def routing_key(self, key_id: int) -> CycloidId:
+        return self.delinearize(key_id)
+
     def native_holders(self, key_id: int, count: int) -> list[CycloidNode]:
         """The closest node plus the next ``count - 1`` distinct members
         clockwise in its cluster — the intra-cluster holders
-        :class:`~repro.sim.durability.SuccessorPlacement` delegates to.
-        ``key_id`` is the linearized ``(k, a)`` storage identifier."""
-        owner = self.closest_node(self.delinearize(key_id))
+        :class:`~repro.sim.durability.SuccessorPlacement` delegates to."""
+        owner = self.owner_of(key_id)
         members = self.cluster_members(owner.a)
         idx = bisect.bisect_left(self._clusters[owner.a].data, owner.k)
         count = min(count, len(members))
         return [members[(idx + offset) % len(members)] for offset in range(count)]
-
-    def replica_set(self, key: CycloidId) -> list[CycloidNode]:
-        """Nodes that should hold ``key`` under the durability policy
-        (default: the closest node plus the next ``replication - 1``
-        distinct members clockwise in its cluster)."""
-        if self._native_placement:
-            owner = self.closest_node(key)
-            members = self.cluster_members(owner.a)
-            idx = bisect.bisect_left(self._clusters[owner.a].data, owner.k)
-            count = min(self.replication, len(members))
-            return [
-                members[(idx + offset) % len(members)] for offset in range(count)
-            ]
-        return self.durability.holders(self, self.linearize(key))
-
-    def store(self, namespace: str, key: CycloidId, item: Any) -> CycloidNode:
-        """Place ``item`` at the owner of ``key`` (oracle placement).
-
-        With ``replication > 1`` copies go to cluster successors (counted
-        as maintenance messages).
-        """
-        replicas = self.replica_set(key)
-        for holder in replicas:
-            holder.store(namespace, self.linearize(key), item)
-        if len(replicas) > 1:
-            self.network.count_maintenance(len(replicas) - 1)
-        return replicas[0]
-
-    def routed_store(
-        self, start: CycloidNode, namespace: str, key: CycloidId, item: Any
-    ) -> LookupResult:
-        """Insert via a routed lookup from ``start`` (counts hops)."""
-        result = self.lookup(start, key)
-        result.owner.store(namespace, self.linearize(key), item)
-        for holder in self.replica_set(key)[1:]:
-            if holder is not result.owner:
-                holder.store(namespace, self.linearize(key), item)
-                self.network.count_maintenance(1)
-        return result
-
-    def discard(self, namespace: str, key: CycloidId, item: Any) -> int:
-        """Remove ``item``'s copies from the key's replica set; returns the
-        number of copies removed (lease-expiry support)."""
-        key_id = self.linearize(key)
-        removed = 0
-        for holder in self.replica_set(key):
-            if holder.remove_item(namespace, key_id, item):
-                removed += 1
-        return removed
 
     def linearize(self, cid: CycloidId) -> int:
         return cid.a * self.dimension + (cid.k % self.dimension)
@@ -952,7 +814,7 @@ class CycloidOverlay:
             for donor in donors:
                 donated: dict[tuple[str, int], Counter] = {}
                 for namespace, key_id, item in donor.stored_entries():
-                    if self.closest_node(self.delinearize(key_id)) is node:
+                    if self.owner_of(key_id) is node:
                         donated.setdefault((namespace, key_id), Counter())[item] += 1
                 for bucket_key, pieces in donated.items():
                     donor.remove_items(bucket_key[0], bucket_key[1])
@@ -988,7 +850,7 @@ class CycloidOverlay:
         for namespace, key_id, item in node.stored_entries():
             outgoing.setdefault((namespace, key_id), Counter())[item] += 1
         for (namespace, key_id), pieces in outgoing.items():
-            new_owner = self.closest_node(self.delinearize(key_id))
+            new_owner = self.owner_of(key_id)
             # See ChordRing.leave: the new owner may already hold replica
             # copies — top up to the departing node's count so identical
             # items stay distinct pieces without duplicating replicas.
@@ -1019,42 +881,6 @@ class CycloidOverlay:
         node.clear_storage()  # the crashed node's memory is gone
         self._repair_neighbourhood(node)
 
-    def repair_replication(self) -> int:
-        """Restore every key to exactly its replica set; returns copies moved.
-
-        See :meth:`ChordRing.repair_replication`: surviving per-holder
-        counts reduce through
-        :func:`~repro.sim.durability.decodable_level` — at the default
-        decode threshold of 1 the seed's ``max`` merge (identical items
-        keep their multiplicity while replica copies count once); under
-        an erasure policy undecodable fragments are purged.
-        """
-        threshold = self.durability.threshold
-        surviving: dict[tuple[str, int], dict[Any, list[int]]] = {}
-        for node in list(self.nodes()):
-            held: dict[tuple[str, int], Counter] = {}
-            for namespace, key_id, item in node.stored_entries():
-                held.setdefault((namespace, key_id), Counter())[item] += 1
-            node.clear_storage()
-            for bucket_key, pieces in held.items():
-                bucket = surviving.setdefault(bucket_key, {})
-                for item, count in pieces.items():
-                    bucket.setdefault(item, []).append(count)
-        moved = 0
-        for (namespace, key_id), pieces in surviving.items():
-            replicas = self.replica_set(self.delinearize(key_id))
-            for item, counts in pieces.items():
-                level = decodable_level(counts, threshold)
-                if level == 0:
-                    continue
-                for holder in replicas:
-                    for _ in range(level):
-                        holder.store(namespace, key_id, item)
-                    moved += level
-        if moved:
-            self.network.count_maintenance(moved)
-        return moved
-
     def _repair_neighbourhood(self, node: CycloidNode) -> None:
         """Refresh routing state around a membership change.
 
@@ -1074,23 +900,9 @@ class CycloidOverlay:
             self._refresh_routing_state(member)
             self.network.count_maintenance(1)
 
-    def stabilize_all(self) -> None:
-        """Periodic stabilization: every node re-derives its routing state."""
-        for node in list(self.nodes()):
-            self._refresh_routing_state(node)
-            self.network.count_maintenance(1)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def outlink_counts(self) -> list[int]:
-        """Per-node count of distinct live neighbours (Figure 3a; ≤ 7)."""
-        return [len(node.outlinks()) for node in self.nodes()]
-
-    def directory_sizes(self, namespace: str | None = None) -> list[int]:
-        """Per-node directory sizes (Figure 3b–d)."""
-        return [node.directory_size(namespace) for node in self.nodes()]
-
     def check_invariants(self) -> None:
         """Verify leaf-set mutuality and cluster ordering (test support)."""
         for a, ks in self._clusters.items():

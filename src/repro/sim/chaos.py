@@ -45,7 +45,6 @@ __all__ = [
     "SlowBurst",
     "GrayFailureWindow",
     "ChaosScenario",
-    "id_space_of",
     "network_ids_of",
     "slow_victims",
     "DEMO_SCENARIO",
@@ -54,30 +53,12 @@ __all__ = [
 ]
 
 
-def id_space_of(overlay: Any) -> int:
-    """The integer identifier-space size of an overlay substrate.
-
-    Chord rings expose ``space.size`` (``2**bits``); Cycloid overlays
-    expose ``capacity`` (``d * 2**d``, the linearized key space).
-    """
-    space = getattr(overlay, "space", None)
-    if space is not None:
-        return space.size
-    return overlay.capacity
-
-
 def network_ids_of(overlay: Any) -> list[int]:
-    """Every live node's identifier in the *network's* integer space.
-
-    Chord node IDs are already ring integers; Cycloid ``(k, a)`` IDs are
-    linearized — the same mapping the fault path hands to
+    """Every live node's identifier in the *network's* integer space —
+    its storage key id, the same id the fault path hands to
     ``deliver_first``, so fail-slow marks land on the IDs messages
-    actually travel between.
-    """
-    linearize = getattr(overlay, "linearize", None)
-    if linearize is not None:
-        return sorted(linearize(cid) for cid in overlay.node_ids)
-    return sorted(int(nid) for nid in overlay.node_ids)
+    actually travel between."""
+    return sorted(overlay.key_id_of(node) for node in overlay.nodes())
 
 
 def slow_victims(overlay: Any, fraction: float) -> list[int]:
@@ -298,8 +279,8 @@ class ChaosScenario:
         selection apply); flap-ups rejoin through ``service.churn_join``;
         ramps drive ``injector.set_loss_rate``.
         """
-        overlay = getattr(service, "overlay", None) or service.ring
-        space = id_space_of(overlay)
+        overlay = service.overlay
+        space = overlay.key_space_size
         scheduled = 0
 
         for window in self.partitions:

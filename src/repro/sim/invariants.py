@@ -29,9 +29,10 @@ so every event is validated as it happens.  The experiment runner's
 guards this way.
 
 The checkers deliberately duck-type the two overlays (anything with
-``check_ring_invariants`` is treated as a Chord ring, anything with
-``delinearize`` as a Cycloid overlay) so this module imports nothing from
-:mod:`repro.overlay` and stays cycle-free.
+``check_ring_invariants`` is treated as a Chord ring, anything else as a
+Cycloid overlay) and address stored keys through the shared storage key
+contract, so this module imports nothing from :mod:`repro.overlay` and
+stays cycle-free.
 """
 
 from __future__ import annotations
@@ -191,22 +192,15 @@ def check_overlay(overlay: Any) -> None:
 
 def overlay_of(service: Any) -> Any:
     """The overlay substrate behind a discovery service (ring or Cycloid)."""
-    overlay = getattr(service, "overlay", None)
-    if overlay is None:
-        overlay = getattr(service, "ring", None)
-    if overlay is None:
-        raise TypeError(f"{type(service).__name__} exposes no overlay substrate")
-    return overlay
+    try:
+        return service.overlay
+    except AttributeError:
+        raise TypeError(f"{type(service).__name__} exposes no overlay substrate") from None
 
 
 # ----------------------------------------------------------------------
 # Replica placement (strict; valid immediately after repair_replication)
 # ----------------------------------------------------------------------
-def _replicas_for(overlay: Any, key_id: int) -> list:
-    if hasattr(overlay, "delinearize"):
-        return overlay.replica_set(overlay.delinearize(key_id))
-    return overlay.replica_set(key_id)
-
 
 def check_replica_placement(overlay: Any) -> None:
     """Every stored key sits on exactly its replica set, identically.
@@ -220,7 +214,7 @@ def check_replica_placement(overlay: Any) -> None:
             per_key = holders.setdefault((namespace, key_id), {})
             per_key.setdefault(node.uid, Counter())[item] += 1
     for (namespace, key_id), per_key in holders.items():
-        expected = {n.uid for n in _replicas_for(overlay, key_id)}
+        expected = {n.uid for n in overlay.replica_set(key_id)}
         actual = set(per_key)
         _check(
             actual == expected,
@@ -271,10 +265,10 @@ class ChurnGuard:
     def __init__(self, service: Any) -> None:
         self.service = service
         self.overlay = overlay_of(service)
-        self.policy = getattr(self.overlay, "durability", None)
+        self.policy = self.overlay.durability
         #: Number of churn events validated so far.
         self.events = 0
-        fragments_fate_share = self.policy is not None and self.policy.is_erasure
+        fragments_fate_share = self.policy.is_erasure
         for name in self._CONSERVING:
             exact = name == "stabilize" or not fragments_fate_share
             setattr(service, name, self._guarded(getattr(service, name), exact=exact))
@@ -282,13 +276,12 @@ class ChurnGuard:
         self.overlay.repair_replication = self._guarded(
             self.overlay.repair_replication, exact=True, placement=True
         )
-        if hasattr(self.overlay, "repair_replication_step"):
-            # Incremental anti-entropy must conserve the census exactly,
-            # but a partial pass legitimately leaves unvisited keys
-            # misplaced — no placement assertion here.
-            self.overlay.repair_replication_step = self._guarded(
-                self.overlay.repair_replication_step, exact=True
-            )
+        # Incremental anti-entropy must conserve the census exactly, but a
+        # partial pass legitimately leaves unvisited keys misplaced — no
+        # placement assertion here.
+        self.overlay.repair_replication_step = self._guarded(
+            self.overlay.repair_replication_step, exact=True
+        )
 
     def _guarded(
         self, fn: Callable, *, exact: bool, placement: bool = False

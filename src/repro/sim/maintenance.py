@@ -19,8 +19,8 @@ the round interval.  This module adds that cost model:
   :class:`~repro.sim.engine.Simulator` through a service's
   ``stabilize(budget)`` entry point (keeping churn-guard wrappers and
   accounting in the loop).
-* :func:`repair_buckets` — the shared incremental anti-entropy pass
-  both overlays' ``repair_replication_step`` delegates to.
+* :func:`repair_buckets` — the incremental anti-entropy pass behind
+  every overlay's ``repair_replication_step``.
 
 Import discipline: this module is imported *by* ``repro.overlay`` (for
 :class:`RepairProgress` / :func:`repair_buckets`), so it must not import
@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.durability import decodable_level
 from repro.utils.validation import require
@@ -55,7 +55,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Incremental replica repair (shared by ChordRing and CycloidOverlay)
+# Incremental replica repair (behind Overlay.repair_replication_step)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RepairProgress:
@@ -78,19 +78,15 @@ class RepairProgress:
 
 def repair_buckets(
     overlay: Any,
-    replica_set_of: Callable[[int], Sequence[Any]],
     budget: int | None = None,
     after: tuple[str, int] | None = None,
-    *,
-    policy: Any = None,
 ) -> RepairProgress:
     """Anti-entropy repair of up to ``budget`` key buckets.
 
     A *bucket* is one ``(namespace, key_id)`` pair.  Buckets are visited
     in sorted order starting strictly after the ``after`` cursor.  For
     each visited bucket the surviving per-node copy counts reduce to the
-    piece's decodable level under ``policy`` (a
-    :class:`~repro.sim.durability.DurabilityPolicy`; ``None`` or a
+    piece's decodable level under the overlay's durability policy (a
     decode threshold of 1 is the seed's ``max`` merge — replica copies
     count once, genuinely distinct identical pieces keep their
     multiplicity, the census convention of ``repair_replication``),
@@ -110,7 +106,7 @@ def repair_buckets(
     require(budget is None or budget >= 0, "repair budget must be >= 0")
     if budget == 0:
         return RepairProgress(0, 0, after)
-    threshold = 1 if policy is None else policy.threshold
+    threshold = overlay.durability.threshold
 
     # Scan surviving copies, bucketed by (namespace, key_id).
     holders: dict[tuple[str, int], list[tuple[Any, Counter]]] = {}
@@ -138,7 +134,7 @@ def repair_buckets(
         merged = {
             item: decodable_level(cs, threshold) for item, cs in counts.items()
         }
-        replicas = list(replica_set_of(key_id))
+        replicas = list(overlay.replica_set(key_id))
         replica_ids = {id(r) for r in replicas}
         # Drop stray copies that live outside the current replica set.
         for node, pieces in bucket_holders:

@@ -19,7 +19,7 @@ reliable and the extra counters stay zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel, RttBook
@@ -71,60 +71,21 @@ class MessageStats:
 
     def as_dict(self) -> dict[str, float]:
         """Flat field → value mapping (counter publication and CSV rows)."""
-        return {
-            "messages": self.messages,
-            "routing_hops": self.routing_hops,
-            "directory_checks": self.directory_checks,
-            "maintenance_messages": self.maintenance_messages,
-            "dropped": self.dropped,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "walk_truncations": self.walk_truncations,
-            "timeout_seconds": self.timeout_seconds,
-            "backoff_seconds": self.backoff_seconds,
-            "latency_seconds": self.latency_seconds,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
-            "hedges_cancelled": self.hedges_cancelled,
-        }
+        return {name: getattr(self, name) for name in _STAT_FIELDS}
 
     def snapshot(self) -> "MessageStats":
         """An independent copy of the current totals."""
-        return MessageStats(
-            messages=self.messages,
-            routing_hops=self.routing_hops,
-            directory_checks=self.directory_checks,
-            maintenance_messages=self.maintenance_messages,
-            dropped=self.dropped,
-            timeouts=self.timeouts,
-            retries=self.retries,
-            walk_truncations=self.walk_truncations,
-            timeout_seconds=self.timeout_seconds,
-            backoff_seconds=self.backoff_seconds,
-            latency_seconds=self.latency_seconds,
-            hedges=self.hedges,
-            hedges_won=self.hedges_won,
-            hedges_cancelled=self.hedges_cancelled,
-        )
+        return MessageStats(**self.as_dict())
 
     def delta_since(self, earlier: "MessageStats") -> "MessageStats":
         """Totals accumulated since ``earlier`` was snapshotted."""
         return MessageStats(
-            messages=self.messages - earlier.messages,
-            routing_hops=self.routing_hops - earlier.routing_hops,
-            directory_checks=self.directory_checks - earlier.directory_checks,
-            maintenance_messages=self.maintenance_messages - earlier.maintenance_messages,
-            dropped=self.dropped - earlier.dropped,
-            timeouts=self.timeouts - earlier.timeouts,
-            retries=self.retries - earlier.retries,
-            walk_truncations=self.walk_truncations - earlier.walk_truncations,
-            timeout_seconds=self.timeout_seconds - earlier.timeout_seconds,
-            backoff_seconds=self.backoff_seconds - earlier.backoff_seconds,
-            latency_seconds=self.latency_seconds - earlier.latency_seconds,
-            hedges=self.hedges - earlier.hedges,
-            hedges_won=self.hedges_won - earlier.hedges_won,
-            hedges_cancelled=self.hedges_cancelled - earlier.hedges_cancelled,
+            **{name: getattr(self, name) - getattr(earlier, name) for name in _STAT_FIELDS}
         )
+
+
+#: Every :class:`MessageStats` counter, in declaration order.
+_STAT_FIELDS = tuple(f.name for f in fields(MessageStats))
 
 
 @dataclass

@@ -63,9 +63,7 @@ def replica_deficit(overlay: Any, policy: Any = None) -> int:
     present); the default successor replication has ``threshold=1`` and
     a target of ``replication`` holders per piece.
     """
-    if policy is None:
-        policy = getattr(overlay, "durability", None)
-    threshold = 1 if policy is None else policy.threshold
+    threshold = (policy or overlay.durability).threshold
     holders: dict[tuple[str, int], dict[Any, list[int]]] = {}
     for node in list(overlay.nodes()):
         per_node: dict[tuple[str, int], dict[Any, int]] = {}
@@ -77,15 +75,9 @@ def replica_deficit(overlay: Any, policy: Any = None) -> int:
             for item, count in pieces.items():
                 bucket.setdefault(item, []).append(count)
 
-    if hasattr(overlay, "delinearize"):
-        def replicas_for(key_id: int):
-            return overlay.replica_set(overlay.delinearize(key_id))
-    else:
-        replicas_for = overlay.replica_set
-
     deficit = 0
     for (namespace, key_id), pieces in holders.items():
-        target_holders = len(replicas_for(key_id))
+        target_holders = len(overlay.replica_set(key_id))
         for item, counts in pieces.items():
             level = decodable_level(counts, threshold)
             for j in range(1, level + 1):

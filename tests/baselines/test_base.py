@@ -83,11 +83,11 @@ class TestMultiQueryInterface:
 class TestChurnBookkeeping:
     def test_leave_then_join_recycles_ids(self, schema):
         service = SwordService.build_full(5, schema, seed=1)
-        before = set(service.ring.node_ids)
+        before = set(service.overlay.node_ids)
         assert service.churn_leave()
-        departed = before - set(service.ring.node_ids)
+        departed = before - set(service.overlay.node_ids)
         assert service.churn_join()
-        assert set(service.ring.node_ids) == before, departed
+        assert set(service.overlay.node_ids) == before, departed
 
     def test_join_without_departures_noop(self, schema):
         service = SwordService.build_full(5, schema, seed=1)
@@ -101,4 +101,4 @@ class TestChurnBookkeeping:
         service = SwordService.build_full(5, schema, seed=1)
         service.churn_leave()
         service.stabilize()
-        service.ring.check_ring_invariants()
+        service.overlay.check_ring_invariants()

@@ -103,7 +103,7 @@ class TestSaltedService:
     def test_every_salted_root_holds_the_full_directory(self, salted):
         attribute = salted.schema.specs[0].name
         for key in salted.attr_store_keys(attribute):
-            holder = salted.ring.successor_of(key)
+            holder = salted.overlay.successor_of(key)
             assert len(holder.items_at(_NAMESPACE, key)) == CONFIG.infos_per_attribute
 
     def test_answers_match_unsalted(self, base, salted, workload):
@@ -148,9 +148,9 @@ class TestDynamicReplicator:
 
     def test_copies_charged_to_maintenance(self, service):
         attribute = service.schema.specs[0].name
-        before = service.ring.network.stats.maintenance_messages
+        before = service.overlay.network.stats.maintenance_messages
         self._replicate(service, attribute)
-        assert service.ring.network.stats.maintenance_messages >= before + 24
+        assert service.overlay.network.stats.maintenance_messages >= before + 24
 
     def test_replicated_reads_spread_and_stay_transparent(self, service):
         attribute = service.schema.specs[0].name
@@ -168,7 +168,7 @@ class TestDynamicReplicator:
         service.register(info, routed=False)
         key = service.attr_key(attribute)
         for node_id in replicator.holders(attribute):
-            items = service.ring.node(node_id).items_at(replicator.replica_namespace, key)
+            items = service.overlay.node(node_id).items_at(replicator.replica_namespace, key)
             assert any(item.provider == "fresh-provider" for item in items)
 
     def test_cold_windows_decay_replicas(self, service):
@@ -180,7 +180,7 @@ class TestDynamicReplicator:
         assert report["dropped"] == 1
         assert replicator.holders(attribute) == []
         key = service.attr_key(attribute)
-        for node in service.ring.nodes():
+        for node in service.overlay.nodes():
             assert not node.items_at(replicator.replica_namespace, key)
 
     def test_detach_clears_replicas(self, service):

@@ -30,14 +30,14 @@ class TestSplitRegistration:
     def test_attribute_copy_at_attribute_root(self, service):
         info = ResourceInfo("cpu-mhz", 1000.0, "p")
         service.register(info)
-        root = service.ring.successor_of(service.attr_key("cpu-mhz"))
+        root = service.overlay.successor_of(service.attr_key("cpu-mhz"))
         assert info in root.items_in("maan:attr")
 
     def test_value_copy_at_value_root(self, service):
         info = ResourceInfo("cpu-mhz", 1000.0, "p")
         service.register(info)
         key = service.value_hash("cpu-mhz")(1000.0)
-        root = service.ring.successor_of(key)
+        root = service.overlay.successor_of(key)
         assert info in root.items_in("maan:value")
 
     def test_register_hops_cover_two_lookups(self, service):

@@ -26,12 +26,12 @@ class TestPlacement:
         info = ResourceInfo("cpu-mhz", 2500.0, "p")
         service.register(info)
         key = service.value_hash("cpu-mhz")(2500.0)
-        owner = service.ring.successor_of(key)
+        owner = service.overlay.successor_of(key)
         assert info in owner.items_in("hub:cpu-mhz")
 
     def test_hubs_are_namespaced_per_attribute(self, service):
         service.register(ResourceInfo("cpu-mhz", 2500.0, "p"))
-        for node in service.ring.nodes():
+        for node in service.overlay.nodes():
             assert node.items_in("hub:disk-gb") == []
 
     def test_same_attribute_spreads_over_ring(self, service):
@@ -43,7 +43,7 @@ class TestPlacement:
         rng = np.random.default_rng(0)
         for i, v in enumerate(spec.distribution.sample(rng, 40)):
             service.register(ResourceInfo("cpu-mhz", float(v), f"p{i}"))
-        holders = [n for n in service.ring.nodes() if n.directory_size("hub:cpu-mhz")]
+        holders = [n for n in service.overlay.nodes() if n.directory_size("hub:cpu-mhz")]
         assert len(holders) > 20
 
 
@@ -91,7 +91,7 @@ class TestQueries:
 
 class TestStructure:
     def test_outlinks_scaled_by_hub_count(self, service):
-        base = service.ring.outlink_counts()
+        base = service.overlay.outlink_counts()
         scaled = service.outlink_counts()
         assert scaled == [len(service.schema) * c for c in base]
 

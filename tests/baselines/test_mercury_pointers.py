@@ -108,8 +108,8 @@ class TestQueries:
         q = Query(AttributeConstraint.between(
             attr, spec.distribution.ppf(0.2), spec.distribution.ppf(0.6)
         ))
-        start_p = service.ring.node(service.ring.node_ids[0])
-        start_m = plain.ring.node(plain.ring.node_ids[0])
+        start_p = service.overlay.node(service.overlay.node_ids[0])
+        start_m = plain.overlay.node(plain.overlay.node_ids[0])
         assert service.query(q, start_p).hops >= plain.query(q, start_m).hops
 
 

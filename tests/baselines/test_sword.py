@@ -26,7 +26,7 @@ class TestPlacement:
         spec = service.schema.spec("cpu-mhz")
         for i, v in enumerate(np.linspace(spec.lo, spec.hi, 30)):
             service.register(ResourceInfo("cpu-mhz", float(v), f"p{i}"))
-        holders = [n for n in service.ring.nodes() if n.directory_size("sword")]
+        holders = [n for n in service.overlay.nodes() if n.directory_size("sword")]
         # cpu-mhz pools entirely at one directory node.
         cpu_holders = [
             n for n in holders
@@ -38,7 +38,7 @@ class TestPlacement:
     def test_attribute_root_is_consistent_hash(self, service):
         info = ResourceInfo("os", 3.0, "p")
         service.register(info)
-        root = service.ring.successor_of(service.attr_key("os"))
+        root = service.overlay.successor_of(service.attr_key("os"))
         assert info in root.items_in("sword")
 
 

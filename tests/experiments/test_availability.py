@@ -77,7 +77,7 @@ class TestMeasureCompleteness:
         ]
         injector = FaultInjector(FaultPlan(loss_rate=0.05, seed=1))
         measure_completeness(service, cases, injector)
-        assert service.ring.network.faults is None
+        assert service.overlay.network.faults is None
 
     def test_brittle_policy_under_heavy_loss_degrades_honestly(self):
         bundle = build_services(TINY, register=True)

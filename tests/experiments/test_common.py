@@ -66,5 +66,5 @@ class TestBuildServices:
     def test_full_ring_used_when_population_is_power_of_two(self, tiny_config):
         # d=5 -> population 160; with chord_bits=8 the ring is sparse.
         bundle = build_services(tiny_config, register=False)
-        assert bundle.sword.ring.num_nodes == 160
-        assert bundle.sword.ring.space.size == 256
+        assert bundle.sword.overlay.num_nodes == 160
+        assert bundle.sword.overlay.space.size == 256

@@ -229,10 +229,25 @@ BAD_INPUT = [
     ["tradeoff", "--smoke", "--queries", "0"],
     ["tradeoff", "--smoke", "--fanouts", "0"],
     ["trace", "--system", "lorm", "--loss", "1.0"],
+    ["check", "--seed", "-1"],
+    ["check", "--churn-events", "-1"],
+    ["check", "--queries", "0"],
+    ["trace", "--system", "lorm", "--seed", "-1"],
+    ["trace", "--system", "lorm", "--attributes", "0"],
+    ["trace", "--system", "lorm", "--attributes", "99"],
+    ["trace", "--system", "lorm", "--overlay", "record", "--fanout", "0"],
+    ["trace", "--system", "lorm", "--queries", "0"],
+    ["availability", "--scale", "smoke", "--loss", "1.5"],
+    ["availability", "--scale", "smoke", "--replication", "0"],
+    ["availability", "--scale", "smoke", "--queries", "0"],
+    ["bench", "--smoke", "--repeats", "0"],
 ]
 
 RUN_TARGETS = {target for _, target, _, _ in DEGRADED.values()} | {
-    "repro.obs.replay.replay_queries"
+    "repro.obs.replay.replay_queries",
+    "repro.testing.differential.run_check",
+    "repro.bench.run_bench",
+    "repro.cli.run_figure",
 }
 
 

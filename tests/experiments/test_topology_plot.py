@@ -24,7 +24,7 @@ def loaded_overlay() -> CycloidOverlay:
     overlay = CycloidOverlay(3)
     overlay.build_full()
     for k in range(3):
-        overlay.store("lorm", CycloidId(k, 5), "v")
+        overlay.store("lorm", overlay.linearize(CycloidId(k, 5)), "v")
     return overlay
 
 

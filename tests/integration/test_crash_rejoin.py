@@ -73,7 +73,7 @@ class TestCycloidCrashRejoin:
         overlay = CycloidOverlay(4)
         overlay.build_full()
         key = CycloidId(2, 5)
-        owner = overlay.store("ns", key, "payload")
+        owner = overlay.store("ns", overlay.linearize(key), "payload")
         cid = owner.cid
         old = overlay.node(cid)
         overlay.fail(cid)
@@ -88,7 +88,7 @@ class TestCycloidCrashRejoin:
         overlay = CycloidOverlay(4, replication=2)
         overlay.build_full()
         key = CycloidId(2, 5)
-        owner = overlay.store("ns", key, "payload")
+        owner = overlay.store("ns", overlay.linearize(key), "payload")
         overlay.fail(owner.cid)
         overlay.repair_replication()
 
@@ -100,4 +100,4 @@ class TestCycloidCrashRejoin:
             for _, _, item in node.stored_entries()
             if item == "payload"
         }
-        assert holders == {n.cid for n in overlay.replica_set(key)}
+        assert holders == {n.cid for n in overlay.replica_set(overlay.linearize(key))}

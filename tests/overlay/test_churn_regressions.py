@@ -88,13 +88,13 @@ class TestRepairMultiplicity:
         overlay = CycloidOverlay(3, replication=2)
         overlay.build_full()
         key = CycloidId(1, 2)
-        overlay.store("ns", key, "x")
-        overlay.store("ns", key, "x")
+        overlay.store("ns", overlay.linearize(key), "x")
+        overlay.store("ns", overlay.linearize(key), "x")
         before = directory_census(overlay)
         overlay.repair_replication()
         assert directory_census(overlay) == before
         key_id = overlay.linearize(key)
-        for holder in overlay.replica_set(key):
+        for holder in overlay.replica_set(overlay.linearize(key)):
             assert holder.items_at("ns", key_id) == ["x", "x"]
 
 
@@ -104,7 +104,7 @@ class TestCycloidJoinTransfer:
         overlay.build_full()
         key = CycloidId(0, 4)
         owner_cid = overlay.closest_node(key).cid
-        overlay.store("ns", key, "x")
+        overlay.store("ns", overlay.linearize(key), "x")
         before = directory_census(overlay)
 
         overlay.leave(owner_cid)

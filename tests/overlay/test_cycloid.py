@@ -191,7 +191,7 @@ class TestWalkCluster:
 class TestStorage:
     def test_store_at_closest(self, sparse_overlay):
         key = CycloidId(2, 9)
-        owner = sparse_overlay.store("ns", key, "item")
+        owner = sparse_overlay.store("ns", sparse_overlay.linearize(key), "item")
         assert owner is sparse_overlay.closest_node(key)
 
     def test_routed_store_matches_oracle_placement(self, sparse_overlay, rng):
@@ -199,7 +199,7 @@ class TestStorage:
         for _ in range(40):
             key = CycloidId(rng.randrange(4), rng.randrange(16))
             start = sparse_overlay.node(ids[rng.randrange(len(ids))])
-            result = sparse_overlay.routed_store(start, "ns", key, 1)
+            result = sparse_overlay.routed_store(start, "ns", sparse_overlay.linearize(key), 1)
             assert result.owner is sparse_overlay.closest_node(key)
 
     def test_linearize_roundtrip(self, full_overlay):

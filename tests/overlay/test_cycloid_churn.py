@@ -35,7 +35,7 @@ class TestJoin:
         key = CycloidId(2, 5)
         overlay.leave(key)
         fallback_owner = overlay.closest_node(key)
-        overlay.store("ns", key, "payload")
+        overlay.store("ns", overlay.linearize(key), "payload")
         assert fallback_owner.items_at("ns", overlay.linearize(key)) == ["payload"]
         node = overlay.join(key)
         assert node.items_at("ns", overlay.linearize(key)) == ["payload"]
@@ -61,7 +61,7 @@ class TestLeave:
 
     def test_leave_transfers_keys(self, overlay):
         key = CycloidId(3, 9)
-        overlay.store("ns", key, "v")
+        overlay.store("ns", overlay.linearize(key), "v")
         overlay.leave(key)
         new_owner = overlay.closest_node(key)
         assert new_owner.items_at("ns", overlay.linearize(key)) == ["v"]
@@ -94,7 +94,7 @@ class TestChurnStorm:
     def test_storm_preserves_data_and_routing(self, overlay):
         r = random.Random(8)
         for cid in _all_ids(4)[::2]:
-            overlay.store("storm", cid, overlay.linearize(cid))
+            overlay.store("storm", overlay.linearize(cid), overlay.linearize(cid))
         total = sum(overlay.directory_sizes("storm"))
         departed: list[CycloidId] = []
         for step in range(120):
@@ -118,7 +118,7 @@ class TestChurnStorm:
         """After churn, each stored key sits exactly where closest_node says."""
         r = random.Random(20)
         for cid in _all_ids(4)[::3]:
-            overlay.store("own", cid, str(cid))
+            overlay.store("own", overlay.linearize(cid), str(cid))
         departed = []
         for _ in range(40):
             if r.random() < 0.6 and overlay.num_nodes > 8:

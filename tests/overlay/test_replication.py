@@ -109,7 +109,7 @@ class TestCycloidReplication:
     def test_replica_set_within_cluster(self):
         overlay = self.make_overlay(3)
         key = CycloidId(1, 5)
-        replicas = overlay.replica_set(key)
+        replicas = overlay.replica_set(overlay.linearize(key))
         assert len(replicas) == 3
         assert all(r.a == 5 for r in replicas)
         assert replicas[0] is overlay.closest_node(key)
@@ -117,7 +117,7 @@ class TestCycloidReplication:
     def test_replica_set_capped_by_cluster_size(self):
         overlay = CycloidOverlay(4, replication=3)
         overlay.build([CycloidId(0, 1), CycloidId(2, 1), CycloidId(0, 9)])
-        replicas = overlay.replica_set(CycloidId(0, 1))
+        replicas = overlay.replica_set(overlay.linearize(CycloidId(0, 1)))
         assert len(replicas) == 2  # cluster 1 only has two members
 
     def test_invalid_replication_rejected(self):
@@ -129,14 +129,14 @@ class TestCycloidReplication:
     def test_crash_without_replication_loses_keys(self):
         overlay = self.make_overlay(1)
         key = CycloidId(2, 7)
-        overlay.store("ns", key, "doomed")
+        overlay.store("ns", overlay.linearize(key), "doomed")
         overlay.fail(key)
         assert sum(overlay.directory_sizes("ns")) == 0
 
     def test_crash_with_replication_preserves_reads(self):
         overlay = self.make_overlay(2)
         key = CycloidId(2, 7)
-        overlay.store("ns", key, "kept")
+        overlay.store("ns", overlay.linearize(key), "kept")
         overlay.fail(key)
         new_owner = overlay.closest_node(key)
         assert new_owner.has_item("ns", overlay.linearize(key), "kept")
@@ -144,7 +144,7 @@ class TestCycloidReplication:
     def test_repair_restores_replica_count(self):
         overlay = self.make_overlay(2)
         key = CycloidId(2, 7)
-        overlay.store("ns", key, "x")
+        overlay.store("ns", overlay.linearize(key), "x")
         overlay.fail(key)
         overlay.repair_replication()
         holders = [
@@ -157,7 +157,7 @@ class TestCycloidReplication:
         overlay = self.make_overlay(2)
         keys = [CycloidId(k, a) for a in range(0, 16, 2) for k in range(4)]
         for key in keys:
-            overlay.store("ns", key, str(key))
+            overlay.store("ns", overlay.linearize(key), str(key))
         r = random.Random(3)
         for _ in range(15):
             overlay.fail(overlay.node_ids[r.randrange(overlay.num_nodes)])

@@ -71,7 +71,7 @@ class TestChordChurnSequences:
         for op in ops:
             _apply(service, op)
         service.stabilize()
-        ring = service.ring
+        ring = service.overlay
         ring.check_ring_invariants()
 
         # Routable: every key resolves to the true successor from any start.
@@ -110,7 +110,5 @@ class TestCycloidChurnSequences:
 
         overlay.repair_replication()
         for (_, key_id), holders in _stored_placement(overlay).items():
-            expected = {
-                n.cid for n in overlay.replica_set(overlay.delinearize(key_id))
-            }
+            expected = {n.cid for n in overlay.replica_set(key_id)}
             assert holders == expected, (key_id, holders, expected)

@@ -112,7 +112,7 @@ class TestCycloidProperties:
         overlay = CycloidOverlay(4)
         overlay.build(members)
         for key in keys:
-            overlay.store("ns", key, str(key))
+            overlay.store("ns", overlay.linearize(key), str(key))
         for _ in range(min(leave_count, overlay.num_nodes - 1)):
             overlay.leave(overlay.node_ids[0])
         assert sum(overlay.directory_sizes("ns")) == len(keys)

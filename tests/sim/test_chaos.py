@@ -17,7 +17,6 @@ from repro.sim.chaos import (
     NodeFlap,
     PartitionWindow,
     SlowBurst,
-    id_space_of,
     network_ids_of,
     slow_victims,
 )
@@ -27,10 +26,10 @@ from repro.sim.faults import FaultInjector, FaultPlan
 
 class TestIdSpaceOf:
     def test_chord_space(self):
-        assert id_space_of(ChordRing(6)) == 64
+        assert ChordRing(6).key_space_size == 64
 
     def test_cycloid_linearized_capacity(self):
-        assert id_space_of(CycloidOverlay(3)) == 3 * 2**3
+        assert CycloidOverlay(3).key_space_size == 3 * 2**3
 
 
 class TestPartitionWindow:
@@ -148,16 +147,16 @@ class TestChaosScenario:
         service = self._service(schema)
         injector = FaultInjector(FaultPlan())
         sim = Simulator()
-        population = service.ring.num_nodes
+        population = service.overlay.num_nodes
         scenario = ChaosScenario(
             bursts=(CrashBurst(at=1.0, count=3),),
             flaps=(NodeFlap(first_down=2.0, period=2.0, cycles=1),),
         )
         scenario.install(sim, injector, service)
         sim.run_until(2.0)  # burst + flap-down fired
-        assert service.ring.num_nodes == population - 4
+        assert service.overlay.num_nodes == population - 4
         sim.run_until(3.0)  # flap-up rejoined one node
-        assert service.ring.num_nodes == population - 3
+        assert service.overlay.num_nodes == population - 3
 
     def test_demo_scenario_shape(self):
         assert DEMO_SCENARIO.fault_times() == [2.0, 8.0, 10.0]
@@ -220,13 +219,13 @@ class TestSlowEvents:
         sim.run_until(1.0)
         assert injector.active
         marked = injector.slow_nodes
-        assert len(marked) == round(0.25 * service.ring.num_nodes)
+        assert len(marked) == round(0.25 * service.overlay.num_nodes)
         assert all(spec == (8.0, 1.0) for spec in marked.values())
         sim.run_until(3.0)
         assert not injector.slow_nodes  # burst healed
         sim.run_until(4.0)
         gray = injector.slow_nodes
-        assert len(gray) == round(0.125 * service.ring.num_nodes)
+        assert len(gray) == round(0.125 * service.overlay.num_nodes)
         assert all(spec == (20.0, 0.6) for spec in gray.values())
         sim.run_until(6.0)
         assert not injector.active

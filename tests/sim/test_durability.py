@@ -125,9 +125,8 @@ class TestDefaultPolicyByteIdentity:
         explicit = CycloidOverlay(3, durability=successor_replication(2))
         explicit.build_full()
         for key_id in range(legacy.capacity):
-            key = legacy.delinearize(key_id)
-            assert [n.cid for n in legacy.replica_set(key)] == [
-                n.cid for n in explicit.replica_set(key)
+            assert [n.cid for n in legacy.replica_set(key_id)] == [
+                n.cid for n in explicit.replica_set(key_id)
             ]
 
 

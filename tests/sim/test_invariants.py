@@ -67,7 +67,7 @@ class TestStructuralChecks:
 
     def test_overlay_of(self, loaded_bundle):
         assert overlay_of(loaded_bundle.lorm) is loaded_bundle.lorm.overlay
-        assert overlay_of(loaded_bundle.sword) is loaded_bundle.sword.ring
+        assert overlay_of(loaded_bundle.sword) is loaded_bundle.sword.overlay
         with pytest.raises(TypeError):
             overlay_of(object())
 
@@ -112,7 +112,7 @@ class TestChurnGuard:
         assert service.churn_join()
         service.stabilize()
         assert service.churn_fail()
-        service.ring.repair_replication()
+        service.overlay.repair_replication()
         assert guard.events == 5
 
     def test_guard_catches_data_loss_on_leave(self, schema, workload, monkeypatch):
@@ -159,8 +159,8 @@ class TestCycloidConservation:
         overlay.build_full()
         key = CycloidId(1, 2)
         owner = overlay.closest_node(key)
-        overlay.store("ns", key, "piece")
-        overlay.store("ns", key, "piece")
+        overlay.store("ns", overlay.linearize(key), "piece")
+        overlay.store("ns", overlay.linearize(key), "piece")
         before = directory_census(overlay)
         assert before[("ns", overlay.linearize(key), "piece")] == 2
 

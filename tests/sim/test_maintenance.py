@@ -57,7 +57,7 @@ class TestRepairBuckets:
         ring = _loaded_ring()
         ring.fail(20)
         cursor = ("ns", 8)
-        progress = repair_buckets(ring, ring.replica_set, budget=0, after=cursor)
+        progress = repair_buckets(ring, budget=0, after=cursor)
         assert progress.keys_repaired == 0
         assert progress.copies_moved == 0
         assert progress.next_after == cursor
@@ -66,13 +66,13 @@ class TestRepairBuckets:
     def test_negative_budget_rejected(self):
         ring = _loaded_ring()
         with pytest.raises(ValueError):
-            repair_buckets(ring, ring.replica_set, budget=-1)
+            repair_buckets(ring, budget=-1)
 
     def test_unbounded_sweep_matches_global_repair(self):
         ring = _loaded_ring()
         before = directory_census(ring)
         ring.fail(20)
-        progress = repair_buckets(ring, ring.replica_set, budget=None)
+        progress = repair_buckets(ring, budget=None)
         assert progress.done
         assert progress.keys_repaired == 16  # every stored bucket visited
         check_replica_placement(ring)
@@ -88,7 +88,7 @@ class TestRepairBuckets:
         passes = 0
         visited = 0
         while True:
-            progress = repair_buckets(ring, ring.replica_set, budget=5, after=cursor)
+            progress = repair_buckets(ring, budget=5, after=cursor)
             # Census is conserved even mid-sweep (strays drop only after
             # their copies are merged onto the replica set).
             assert directory_census(ring) == before
@@ -104,7 +104,7 @@ class TestRepairBuckets:
     def test_clean_bucket_costs_no_messages(self):
         ring = _loaded_ring()
         baseline = ring.network.stats.maintenance_messages
-        progress = repair_buckets(ring, ring.replica_set, budget=None)
+        progress = repair_buckets(ring, budget=None)
         assert progress.copies_moved == 0
         assert ring.network.stats.maintenance_messages == baseline
 
@@ -112,7 +112,7 @@ class TestRepairBuckets:
         ring = _loaded_ring()
         ring.fail(20)  # crash-time neighbourhood repair counts separately
         baseline = ring.network.stats.maintenance_messages
-        progress = repair_buckets(ring, ring.replica_set, budget=None)
+        progress = repair_buckets(ring, budget=None)
         assert progress.copies_moved > 0
         assert (
             ring.network.stats.maintenance_messages
@@ -243,4 +243,4 @@ class TestMaintenanceScheduler:
         scheduler.install(sim, horizon=6.0)
         sim.run()  # a guard violation would raise here
         assert guard.events > events_after_fail
-        assert replica_deficit(service.ring) == 0
+        assert replica_deficit(service.overlay) == 0

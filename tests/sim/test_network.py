@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -73,6 +75,24 @@ class TestSnapshots:
 
     def test_default_stats_zero(self):
         assert MessageStats().messages == 0
+
+
+@pytest.mark.parametrize(
+    "stat", dataclasses.fields(MessageStats), ids=lambda f: f.name
+)
+def test_every_field_survives_snapshot_delta_dict_and_publish(stat):
+    from repro.sim.metrics import MetricsRegistry
+    from repro.sim.network import publish_stats
+
+    value = 2.5 if stat.type == "float" else 7
+    stats = MessageStats(**{stat.name: value})
+    assert getattr(stats.snapshot(), stat.name) == value
+    assert getattr(stats.delta_since(MessageStats()), stat.name) == value
+    assert getattr(stats.delta_since(stats.snapshot()), stat.name) == 0
+    assert stats.as_dict()[stat.name] == value
+    registry = MetricsRegistry()
+    publish_stats(stats, registry, prefix="p")
+    assert registry.counter(f"p.{stat.name}") == value
 
 
 class TestLatency:
